@@ -2,7 +2,7 @@
 # Staged CI pipeline. Mirrors what the driver runs on every PR; keep it
 # green.
 #
-#   ./ci.sh                 # all stages: build fmt lint test smoke faults durability tracing engines hybrid serving
+#   ./ci.sh                 # all stages: build fmt lint test smoke faults durability tracing engines hybrid serving perfbench
 #   ./ci.sh build test      # just those stages
 #   ./ci.sh --list          # list stages with one-line descriptions
 #   ./ci.sh --update-golden # refresh ci/golden/ from the current build
@@ -52,6 +52,10 @@
 #                sweep of the serving tier (backends x rates, faults
 #                medium, controls on), each run twice (byte-identical
 #                serving JSON required) and diffed against ci/golden/
+#   perfbench  - smoke test of the repository benchmark (perfbench/smoke.py):
+#                every workload untraced and traced at the tiny size must
+#                report well-formed metrics with zero failed cells, and a
+#                corrupted oracle must be caught
 set -eu
 
 cd "$(dirname "$0")"
@@ -161,6 +165,11 @@ stage_smoke() {
             exit 1
         fi
     done
+}
+
+stage_perfbench() {
+    echo "== stage perfbench: benchmark smoke test =="
+    python3 perfbench/smoke.py
 }
 
 stage_faults() {
@@ -627,11 +636,12 @@ tracing     span tracing must not perturb counters; trace schema + attribution
 engines     interp-vs-compiled differential matrix + dispatch-throughput gate
 hybrid      routed-run determinism + goldens + routing/shape gates + shadow audit
 serving     fixed-seed overload sweep of the serving tier vs ci/golden/
+perfbench   smoke test of the repository benchmark (perfbench/smoke.py)
 EOF
     exit 0
 fi
 
-STAGES="${*:-build fmt lint test smoke faults durability tracing engines hybrid serving}"
+STAGES="${*:-build fmt lint test smoke faults durability tracing engines hybrid serving perfbench}"
 
 # Name the failing stage at the very end of the log, where it is hardest
 # to miss (set -e aborts mid-stage, possibly far above).
@@ -659,6 +669,7 @@ for s in $STAGES; do
         engines)    stage_engines ;;
         hybrid)     stage_hybrid ;;
         serving)    stage_serving ;;
+        perfbench)  stage_perfbench ;;
         *)
             echo "unknown stage '$s' (see ./ci.sh --list)" >&2
             exit 2

@@ -25,6 +25,12 @@ type t = {
   clock_queue : int Queue.t; (* CLOCK second-chance candidate ring *)
   pins : (int, int) Hashtbl.t;
   mutable telemetry : Telemetry.Sink.t;
+  (* Handles on the counters of the fault-free path, resolved once at
+     [create]. *)
+  c_writebacks : Clock.counter;
+  c_evictions : Clock.counter;
+  c_materialized : Clock.counter;
+  c_demand_fetches : Clock.counter;
 }
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
@@ -54,6 +60,10 @@ let create ?(policy = Clock_hand) ?(telemetry = Telemetry.Sink.nop)
     clock_queue = Queue.create ();
     pins = Hashtbl.create 16;
     telemetry;
+    c_writebacks = Clock.counter clock "aifm.writebacks";
+    c_evictions = Clock.counter clock "aifm.evictions";
+    c_materialized = Clock.counter clock "aifm.materialized";
+    c_demand_fetches = Clock.counter clock "aifm.demand_fetches";
   }
 
 let telemetry t = t.telemetry
@@ -130,7 +140,7 @@ let evict_one_with ~allow_writeback t =
         let swapped =
           if m land bit_dirty <> 0 then begin
             Net.writeback_object t.net ~key:(t.addr_of_id id) ~bytes:t.osize;
-            Clock.count t.clock "aifm.writebacks" 1;
+            Clock.bump t.c_writebacks 1;
             Telemetry.Sink.writeback_event t.telemetry ~bytes:t.osize;
             bit_swapped
           end
@@ -140,7 +150,7 @@ let evict_one_with ~allow_writeback t =
         t.used <- t.used - t.osize;
         t.nlocal <- t.nlocal - 1;
         Clock.tick t.clock t.cost.Cost_model.evict_object;
-        Clock.count t.clock "aifm.evictions" 1;
+        Clock.bump t.c_evictions 1;
         Telemetry.Sink.evict_event t.telemetry;
         true
       end
@@ -192,7 +202,7 @@ let make_local t id m =
 let materialize t id =
   let m = get_meta t id in
   if m land bit_local = 0 then begin
-    Clock.count t.clock "aifm.materialized" 1;
+    Clock.bump t.c_materialized 1;
     make_local t id (m lor bit_dirty)
   end
 
@@ -204,7 +214,7 @@ let ensure_local t id =
     (* Never written (or never existed): fresh backing, no remote copy to
        fetch — the analogue of an anonymous first-touch fault. *)
     Clock.tick t.clock 50;
-    Clock.count t.clock "aifm.materialized" 1;
+    Clock.bump t.c_materialized 1;
     make_local t id (m land lnot bit_prefetched)
   end
   else begin
@@ -214,7 +224,7 @@ let ensure_local t id =
      end
      else begin
        Net.fetch_object t.net ~key:(t.addr_of_id id) ~bytes:t.osize;
-       Clock.count t.clock "aifm.demand_fetches" 1;
+       Clock.bump t.c_demand_fetches 1;
        Telemetry.Sink.fetch_event t.telemetry ~bytes:t.osize ~prefetched:false
      end);
     make_local t id (m land lnot bit_prefetched)

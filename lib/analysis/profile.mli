@@ -3,8 +3,11 @@
     NOELLE's profiling engine feeds TrackFM's improved loop chunking
     (Section 3.4): loops whose measured iteration behaviour cannot
     amortize the chunking setup are filtered out. Our profile is filled
-    by an instrumented interpreter run and consumed by the chunking
-    pass's gate. *)
+    by a profiled run on either engine ([Interp.run] or [Compile.run]
+    with [~profile]) and consumed by the chunking pass's gate. The
+    engines count executions in per-block slots and fold the non-zero
+    counts in here once, when the run returns or traps, so nothing on the
+    per-block path touches this table. *)
 
 type t
 

@@ -17,6 +17,13 @@ type t = {
   lru : int Queue.t;
   mutable present : int;
   telemetry : Telemetry.Sink.t;
+  (* Handles on the counters of the fault-free path, resolved once at
+     [create]. *)
+  c_writebacks : Clock.counter;
+  c_evictions : Clock.counter;
+  c_major : Clock.counter;
+  c_readahead : Clock.counter;
+  c_minor : Clock.counter;
 }
 
 let create ?(readahead = 0) ?(faults = Faults.disabled) ?cluster
@@ -38,6 +45,11 @@ let create ?(readahead = 0) ?(faults = Faults.disabled) ?cluster
     lru = Queue.create ();
     present = 0;
     telemetry;
+    c_writebacks = Clock.counter clock "fastswap.writebacks";
+    c_evictions = Clock.counter clock "fastswap.evictions";
+    c_major = Clock.counter clock "fastswap.major_faults";
+    c_readahead = Clock.counter clock "fastswap.readahead_pages";
+    c_minor = Clock.counter clock "fastswap.minor_faults";
   }
 
 let net t = t.net
@@ -73,12 +85,12 @@ let reclaim_one_with ~allow_writeback t =
       else begin
         if s land bit_dirty <> 0 then begin
           Net.writeback_object t.net ~key:(p lsl page_bits) ~bytes:page_size;
-          Clock.count t.clock "fastswap.writebacks" 1
+          Clock.bump t.c_writebacks 1
         end;
         set_state t p ((s lor bit_swapped) land lnot (bit_present lor bit_dirty));
         t.present <- t.present - 1;
         Clock.tick t.clock t.cost.Cost_model.evict_page;
-        Clock.count t.clock "fastswap.evictions" 1;
+        Clock.bump t.c_evictions 1;
         true
       end
     end
@@ -138,7 +150,7 @@ let fault_page t p ~write =
     (* Major fault: kernel software path plus the RDMA page read. *)
     Clock.tick t.clock t.cost.Cost_model.fastswap_fault_base;
     Net.fetch_object t.net ~key:(p lsl page_bits) ~bytes:page_size;
-    Clock.count t.clock "fastswap.major_faults" 1;
+    Clock.bump t.c_major 1;
     map_page t p ~hot:true ~dirty:write;
     (* Optional cluster readahead of subsequent swapped-out pages.
        Suppressed while the breaker is open: speculative traffic is the
@@ -149,7 +161,7 @@ let fault_page t p ~write =
       if sq land bit_swapped <> 0 && sq land bit_present = 0 then begin
         Net.fetch_object_prefetched t.net ~key:(q lsl page_bits)
           ~bytes:page_size;
-        Clock.count t.clock "fastswap.readahead_pages" 1;
+        Clock.bump t.c_readahead 1;
         map_page t q ~hot:false ~dirty:false
       end
     done
@@ -157,7 +169,7 @@ let fault_page t p ~write =
   else begin
     (* First touch: anonymous page allocation (minor fault). *)
     Clock.tick t.clock t.cost.Cost_model.fastswap_fault_local;
-    Clock.count t.clock "fastswap.minor_faults" 1;
+    Clock.bump t.c_minor 1;
     map_page t p ~hot:true ~dirty:write
   end
 

@@ -20,12 +20,19 @@
 
    Blocks become closures driven by an iterative trampoline (loops must
    not grow the OCaml stack), exactly like the interpreter's iterative
-   block dispatch. Everything observable is kept bit-identical to the
-   interpreter: the same clock ticks in the same order (straight-line
-   batching, local-access charges, call overhead), the same backend
-   hooks ([on_access], allocation, intrinsics — hence the same guard,
-   fault, Shenango-yield and span behaviour), the same telemetry site
-   attribution, the same fuel and instruction accounting. CI and the
+   block dispatch. A profiled run (the chunking gate's pre-run) uses a
+   second copy of the trampoline that also bumps the block's own hit
+   slot, one integer increment per block; [run] folds the non-zero slots
+   into the caller's {!Profile.t} once, on return or on a trap. The
+   unprofiled trampoline carries no profiling test at all.
+
+   Everything observable is kept bit-identical to the interpreter: the
+   same clock ticks in the same order (straight-line batching,
+   local-access charges, call overhead), the same backend hooks
+   ([on_access], allocation, intrinsics — hence the same guard, fault,
+   Shenango-yield and span behaviour), the same telemetry site
+   attribution, the same fuel and instruction accounting, the same
+   block profile. CI and the
    test suite enforce that equivalence differentially, which is why the
    interpreter stays around as the oracle.
 
@@ -76,6 +83,9 @@ type cblock = {
          closure, then returns the next block index (-1 = return) *)
   cb_cost : int; (* instruction-count units per execution: n + 1 *)
   cb_tick : int; (* straight-line cycles per execution: (n + 4) / 4 *)
+  mutable cb_hits : int;
+      (* executions, counted only on a profiled run ([exec]) and folded
+         into the caller's profile when [run] exits *)
 }
 
 type cfunc = {
@@ -881,11 +891,11 @@ let exec ctx cfn fr =
   let st = ctx.st in
   let clock = ctx.backend.Backend.clock in
   let blocks = cfn.cf_blocks in
-  let fname = cfn.cf_src.Ir.fname in
   if Array.length blocks = 0 then invalid_arg "index out of bounds";
   let cur = ref 0 in
   (* The profiled loop is split out so the common (unprofiled) path pays
-     no per-block option match. *)
+     no per-block option match; the profiled one counts into the block's
+     own slot. *)
   match ctx.profile with
   | None ->
       while !cur >= 0 do
@@ -896,10 +906,10 @@ let exec ctx cfn fr =
         Memsim.Clock.tick clock b.cb_tick;
         cur := b.cb_step fr
       done
-  | Some prof ->
+  | Some _ ->
       while !cur >= 0 do
         let b = Array.unsafe_get blocks !cur in
-        Profile.add_block prof ~func:fname ~block:b.cb_label 1;
+        b.cb_hits <- b.cb_hits + 1;
         st.fuel <- st.fuel - b.cb_cost;
         if st.fuel < 0 then trap "out of fuel (infinite loop?)";
         st.instrs <- st.instrs + b.cb_cost;
@@ -1526,6 +1536,7 @@ let compile_func ctx (f : Ir.func) =
              cb_step = chain_step code term;
              cb_cost = n_ir + 1;
              cb_tick = (n_ir + 4) / 4;
+             cb_hits = 0;
            })
          f.blocks)
 
@@ -1579,7 +1590,21 @@ let run ?profile ?(fuel = 2_000_000_000) ?(args = []) backend m ~entry =
   let fa =
     if Array.length ia = 0 then [||] else Array.make (Array.length ia) 0.0
   in
-  invoke ctx cfn ~checked_arity:false ia fa;
+  let fold_profile () =
+    Option.iter
+      (fun prof ->
+        Hashtbl.iter
+          (fun fname cf ->
+            Array.iter
+              (fun b ->
+                if b.cb_hits > 0 then
+                  Profile.add_block prof ~func:fname ~block:b.cb_label b.cb_hits)
+              cf.cf_blocks)
+          ctx.cfuncs)
+      profile
+  in
+  Fun.protect ~finally:fold_profile (fun () ->
+      invoke ctx cfn ~checked_arity:false ia fa);
   if cfn.cf_ret = TFloat then trap "expected int, got float";
   {
     Interp.ret = ctx.st.iret;

@@ -19,6 +19,9 @@ and pblock = {
   plabel : string;
   pinstrs : pinstr array;
   pterm : Ir.terminator;
+  mutable phits : int;
+      (* executions, counted only on a profiled run and folded into the
+         caller's profile when [run] exits *)
 }
 
 and pfunc = {
@@ -66,6 +69,7 @@ let rec prepare st fname =
                    Array.of_list
                      (List.map (fun i -> { pi = i; ptarget = None }) b.instrs);
                  pterm = b.term;
+                 phits = 0;
                })
              f.blocks)
       in
@@ -248,7 +252,7 @@ and exec_blocks st p env args ~dargs =
     let prev_label = !prev in
     let blk = p.blocks.(bidx) in
     (match st.profile with
-    | Some prof -> Profile.add_block prof ~func:fname ~block:blk.plabel 1
+    | Some _ -> blk.phits <- blk.phits + 1
     | None -> ());
     let n = Array.length blk.pinstrs in
     st.fuel <- st.fuel - (n + 1);
@@ -411,7 +415,23 @@ let run ?profile ?shadow ?(fuel = 2_000_000_000) ?(args = []) backend m ~entry
   in
   layout_globals st;
   let actuals = Array.of_list (List.map (fun n -> I n) args) in
-  let ret = call_function st entry actuals in
+  let fold_profile () =
+    Option.iter
+      (fun prof ->
+        Hashtbl.iter
+          (fun fname p ->
+            Array.iter
+              (fun b ->
+                if b.phits > 0 then
+                  Profile.add_block prof ~func:fname ~block:b.plabel b.phits)
+              p.blocks)
+          st.prepared)
+      profile
+  in
+  let ret =
+    Fun.protect ~finally:fold_profile (fun () ->
+        call_function st entry actuals)
+  in
   {
     ret = as_int ret;
     cycles = Memsim.Clock.cycles backend.Backend.clock;

@@ -29,7 +29,9 @@ val run :
   entry:string ->
   result
 (** [run backend m ~entry] executes [entry] (typically ["main"]).
-    [profile] accumulates block execution counts for the chunking gate.
+    [profile] accumulates block execution counts for the chunking gate:
+    each block counts its executions in its own slot, and the non-zero
+    counts are added to [profile] once, when the run returns or traps.
     [shadow] records per-site dependent-load depths (the shape
     analysis's dynamic audit). [fuel] bounds total executed instructions
     (default 2_000_000_000). *)

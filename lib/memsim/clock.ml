@@ -1,10 +1,14 @@
+(* A named counter. [listed] records whether it was bumped since the last
+   [reset]: taking a handle must not make a name appear in [counters]. *)
+type counter = { mutable value : int; mutable listed : bool }
+
 type t = {
   mutable cycles : int;
   (* Cycles folded in from [reset]s, so [monotonic] never jumps backward
      across the !bench_begin boundary (crash schedules and replication
      timestamps must live on one continuous timeline). *)
   mutable folded : int;
-  table : (string, int ref) Hashtbl.t;
+  table : (string, counter) Hashtbl.t;
   (* Sampling hook: [sampler] fires every [sample_interval] cycles (from
      the moment it is installed). [next_sample] is [max_int] when no
      sampler is installed, so the common-case cost in [tick] is a single
@@ -42,16 +46,28 @@ let[@inline] tick t n =
 let cycles t = t.cycles
 let monotonic t = t.folded + t.cycles
 
-let count t name n =
+let counter t name =
   match Hashtbl.find_opt t.table name with
-  | Some r -> r := !r + n
-  | None -> Hashtbl.replace t.table name (ref n)
+  | Some c -> c
+  | None ->
+      let c = { value = 0; listed = false } in
+      Hashtbl.replace t.table name c;
+      c
+
+let[@inline] bump c n =
+  c.value <- c.value + n;
+  c.listed <- true
+
+let value c = c.value
+let count t name n = bump (counter t name) n
 
 let get t name =
-  match Hashtbl.find_opt t.table name with Some r -> !r | None -> 0
+  match Hashtbl.find_opt t.table name with Some c -> c.value | None -> 0
 
 let counters t =
-  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.table []
+  Hashtbl.fold
+    (fun k c acc -> if c.listed then (k, c.value) :: acc else acc)
+    t.table []
   |> List.sort compare
 
 let set_sampler t ~interval f =
@@ -68,7 +84,12 @@ let clear_sampler t =
 let reset t =
   t.folded <- t.folded + t.cycles;
   t.cycles <- 0;
-  Hashtbl.reset t.table;
+  (* In place, so handles taken before the reset keep counting. *)
+  Hashtbl.iter
+    (fun _ c ->
+      c.value <- 0;
+      c.listed <- false)
+    t.table;
   match t.sampler with
   | Some _ -> t.next_sample <- t.sample_interval
   | None -> t.next_sample <- max_int

@@ -42,6 +42,13 @@ type breaker = Closed | Open of { opened_at : int; probe_at : int }
 type t = {
   cost : Cost_model.t;
   clock : Clock.t;
+  (* Handles on the counters every fetch or writeback bumps; the rarer
+     fault-path counters go through [Clock.count]. *)
+  c_bytes_in : Clock.counter;
+  c_bytes_out : Clock.counter;
+  c_fetches : Clock.counter;
+  c_prefetched : Clock.counter;
+  c_writebacks : Clock.counter;
   latency : int;
   faults : Faults.t;
   cluster : Cluster.t option;
@@ -68,6 +75,11 @@ let create ?(faults = Faults.disabled) ?cluster ?(policy = default_policy)
   {
     cost;
     clock;
+    c_bytes_in = Clock.counter clock "net.bytes_in";
+    c_bytes_out = Clock.counter clock "net.bytes_out";
+    c_fetches = Clock.counter clock "net.fetches";
+    c_prefetched = Clock.counter clock "net.prefetched_fetches";
+    c_writebacks = Clock.counter clock "net.writebacks";
     latency;
     faults;
     cluster;
@@ -110,9 +122,9 @@ let stall t cycles =
 
 (* Success-side accounting shared by demand and prefetched fetches. *)
 let account_success t ~bytes ~prefetched =
-  Clock.count t.clock "net.bytes_in" bytes;
-  Clock.count t.clock "net.fetches" 1;
-  if prefetched then Clock.count t.clock "net.prefetched_fetches" 1
+  Clock.bump t.c_bytes_in bytes;
+  Clock.bump t.c_fetches 1;
+  if prefetched then Clock.bump t.c_prefetched 1
 
 (* -- fault-free path (bit-identical to the pre-fault model) -------------- *)
 
@@ -287,8 +299,8 @@ let writeback_enqueue_cycles = 250
 
 let writeback t ~bytes =
   Clock.tick t.clock writeback_enqueue_cycles;
-  Clock.count t.clock "net.bytes_out" bytes;
-  Clock.count t.clock "net.writebacks" 1
+  Clock.bump t.c_bytes_out bytes;
+  Clock.bump t.c_writebacks 1
 
 (* -- replicated tier ------------------------------------------------------
 
@@ -402,10 +414,10 @@ let writeback_object t ~key ~bytes =
   | None -> writeback t ~bytes
   | Some c ->
       Clock.tick t.clock writeback_enqueue_cycles;
-      Clock.count t.clock "net.writebacks" 1;
+      Clock.bump t.c_writebacks 1;
       let r = Cluster.writeback c ~key ~size:bytes in
       (* The async reclaim path ships one copy per replica written. *)
-      Clock.count t.clock "net.bytes_out" (bytes * r.Cluster.written);
+      Clock.bump t.c_bytes_out (bytes * r.Cluster.written);
       if r.Cluster.lagged > 0 then
         Clock.count t.clock "net.replica_lag" r.Cluster.lagged;
       if r.Cluster.skipped > 0 then
@@ -428,6 +440,6 @@ let resync_step t =
       end;
       moved
 
-let bytes_in t = Clock.get t.clock "net.bytes_in"
-let bytes_out t = Clock.get t.clock "net.bytes_out"
-let fetches t = Clock.get t.clock "net.fetches"
+let bytes_in t = Clock.value t.c_bytes_in
+let bytes_out t = Clock.value t.c_bytes_out
+let fetches t = Clock.value t.c_fetches

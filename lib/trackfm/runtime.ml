@@ -31,9 +31,27 @@ type guard_event = {
   write : bool;
 }
 
+(* Handles on the clock counters the guard and chunk paths bump per
+   event, resolved once at [create]. *)
+type counters = {
+  mallocs : Clock.counter;
+  state_table_misses : Clock.counter;
+  custody_skips : Clock.counter;
+  fast_guards : Clock.counter;
+  slow_guards : Clock.counter;
+  page_accesses : Clock.counter;
+  chunk_inits : Clock.counter;
+  boundary_checks : Clock.counter;
+  locality_guards : Clock.counter;
+  net_fetches : Clock.counter;
+  net_bytes_in : Clock.counter;
+  net_bytes_out : Clock.counter;
+}
+
 type t = {
   cost : Cost_model.t;
   clock : Clock.t;
+  ctr : counters;
   store : Memstore.t;
   classes : size_class array;
   use_state_table : bool;
@@ -112,9 +130,25 @@ let create ?(backend = Net.Tcp) ?(use_state_table = true) ?(prefetch = true)
              ~budget:(max osize (int_of_float (float_of_int local_budget *. share))))
          specs)
   in
+  let handle name = Clock.counter clock name in
   {
     cost;
     clock;
+    ctr =
+      {
+        mallocs = handle "tfm.mallocs";
+        state_table_misses = handle "tfm.state_table_misses";
+        custody_skips = handle "tfm.custody_skips";
+        fast_guards = handle "tfm.fast_guards";
+        slow_guards = handle "tfm.slow_guards";
+        page_accesses = handle "tfm.page_accesses";
+        chunk_inits = handle "tfm.chunk_inits";
+        boundary_checks = handle "tfm.boundary_checks";
+        locality_guards = handle "tfm.locality_guards";
+        net_fetches = handle "net.fetches";
+        net_bytes_in = handle "net.bytes_in";
+        net_bytes_out = handle "net.bytes_out";
+      };
     store;
     classes;
     use_state_table;
@@ -137,12 +171,12 @@ let set_debug t on = t.debug <- on
 
 let debug_events t = List.of_seq (Queue.to_seq t.debug_ring)
 
+(* Callers test [t.debug] first, so the event record is only built when
+   the ring is on. *)
 let log_event t ev =
-  if t.debug then begin
-    if Queue.length t.debug_ring >= debug_ring_capacity then
-      ignore (Queue.pop t.debug_ring);
-    Queue.push ev t.debug_ring
-  end
+  if Queue.length t.debug_ring >= debug_ring_capacity then
+    ignore (Queue.pop t.debug_ring);
+  Queue.push ev t.debug_ring
 
 let telemetry t = t.telemetry
 
@@ -183,7 +217,7 @@ let tfm_malloc t n =
      anonymous first-touch fault), so huge allocations are cheap and fresh
      memory never crosses the network. *)
   Clock.tick t.clock malloc_cost;
-  Clock.count t.clock "tfm.mallocs" 1;
+  Clock.bump t.ctr.mallocs 1;
   let c = t.classes.(class_for_size t n) in
   Region_alloc.alloc c.alloc n
 
@@ -245,7 +279,7 @@ let metadata_lookup t cls_idx id =
   if t.meta_cache.(slot) <> key then begin
     t.meta_cache.(slot) <- key;
     Clock.tick t.clock t.cost.Cost_model.cache_miss_penalty;
-    Clock.count t.clock "tfm.state_table_misses" 1
+    Clock.bump t.ctr.state_table_misses 1
   end;
   if not t.use_state_table then
     (* Without the table: find the object, then dereference its metadata —
@@ -260,15 +294,16 @@ let guard t ~ptr ~size ~write =
   let tel = t.telemetry in
   let active = Telemetry.Sink.is_active tel in
   let c0 = Clock.cycles t.clock in
-  let bin0 = if active then Clock.get t.clock "net.bytes_in" else 0 in
-  let bout0 = if active then Clock.get t.clock "net.bytes_out" else 0 in
+  let bin0 = if active then Clock.value t.ctr.net_bytes_in else 0 in
+  let bout0 = if active then Clock.value t.ctr.net_bytes_out else 0 in
   if not (Nc_ptr.is_tracked ptr) then begin
     Telemetry.Sink.cat_enter tel Telemetry.Span.Guard_fast;
     Clock.tick t.clock t.cost.Cost_model.custody_check;
-    Clock.count t.clock "tfm.custody_skips" 1;
+    Clock.bump t.ctr.custody_skips 1;
     Telemetry.Sink.cat_exit tel;
-    log_event t
-      { ptr; object_id = -1; size_class = -1; path = `Custody_skip; write };
+    if t.debug then
+      log_event t
+        { ptr; object_id = -1; size_class = -1; path = `Custody_skip; write };
     if active then
       Telemetry.Sink.guard_event tel ~path:`Custody ~write
         ~cycles:(Clock.cycles t.clock - c0) ~bytes_in:0 ~bytes_out:0
@@ -286,31 +321,33 @@ let guard t ~ptr ~size ~write =
       Clock.tick t.clock
         (if write then t.cost.Cost_model.fast_guard_write
          else t.cost.Cost_model.fast_guard_read);
-      Clock.count t.clock "tfm.fast_guards" 1;
-      log_event t
-        { ptr; object_id = id; size_class = cls_idx; path = `Fast; write }
+      Clock.bump t.ctr.fast_guards 1;
+      if t.debug then
+        log_event t
+          { ptr; object_id = id; size_class = cls_idx; path = `Fast; write }
     end
     else begin
       Telemetry.Sink.cat_reclass tel Telemetry.Span.Guard_slow;
       Clock.tick t.clock
         (if write then t.cost.Cost_model.slow_guard_write_local
          else t.cost.Cost_model.slow_guard_read_local);
-      Clock.count t.clock "tfm.slow_guards" 1;
+      Clock.bump t.ctr.slow_guards 1;
       (* The AIFM backend's runtime stride prefetcher watches the miss
          stream and runs ahead of regular strided access patterns. *)
       if t.prefetch then Prefetcher.access c.miss_prefetcher id;
-      log_event t
-        {
-          ptr;
-          object_id = id;
-          size_class = cls_idx;
-          path = `Slow_local;
-          write;
-        }
+      if t.debug then
+        log_event t
+          {
+            ptr;
+            object_id = id;
+            size_class = cls_idx;
+            path = `Slow_local;
+            write;
+          }
     end;
-    let fetches_before = Clock.get t.clock "net.fetches" in
+    let fetches_before = Clock.value t.ctr.net_fetches in
     localize_for_access c id ~write;
-    (if t.debug && Clock.get t.clock "net.fetches" > fetches_before then
+    (if t.debug && Clock.value t.ctr.net_fetches > fetches_before then
        (* upgrade the last event: the slow path went remote *)
        match
          List.rev (List.of_seq (Queue.to_seq t.debug_ring))
@@ -335,8 +372,8 @@ let guard t ~ptr ~size ~write =
         ~path:(if fast then `Fast else `Slow)
         ~write
         ~cycles:(Clock.cycles t.clock - c0)
-        ~bytes_in:(Clock.get t.clock "net.bytes_in" - bin0)
-        ~bytes_out:(Clock.get t.clock "net.bytes_out" - bout0)
+        ~bytes_in:(Clock.value t.ctr.net_bytes_in - bin0)
+        ~bytes_out:(Clock.value t.ctr.net_bytes_out - bout0)
   end
 
 (* -- hybrid page path ---------------------------------------------------- *)
@@ -362,31 +399,34 @@ let page_access t ~ptr ~size ~write =
        route pass move Mixed/Unknown sites under profile evidence. *)
     Telemetry.Sink.cat_enter tel Telemetry.Span.Guard_fast;
     Clock.tick t.clock t.cost.Cost_model.custody_check;
-    Clock.count t.clock "tfm.custody_skips" 1;
+    Clock.bump t.ctr.custody_skips 1;
     Telemetry.Sink.cat_exit tel;
-    log_event t
-      { ptr; object_id = -1; size_class = -1; path = `Custody_skip; write };
+    if t.debug then
+      log_event t
+        { ptr; object_id = -1; size_class = -1; path = `Custody_skip; write };
     if active then
       Telemetry.Sink.guard_event tel ~path:`Custody ~write
         ~cycles:(Clock.cycles t.clock - c0) ~bytes_in:0 ~bytes_out:0
   end
   else begin
-    let bin0 = if active then Clock.get t.clock "net.bytes_in" else 0 in
-    let bout0 = if active then Clock.get t.clock "net.bytes_out" else 0 in
+    let bin0 = if active then Clock.value t.ctr.net_bytes_in else 0 in
+    let bout0 = if active then Clock.value t.ctr.net_bytes_out else 0 in
     (* The custody check still runs — the compiled test is the same
        either way; only the miss mechanism differs. *)
     Clock.tick t.clock t.cost.Cost_model.custody_check;
-    Clock.count t.clock "tfm.page_accesses" 1;
+    Clock.bump t.ctr.page_accesses 1;
     Fastswap.Swap.access (swap_of t) ~addr:ptr ~size ~write;
-    log_event t { ptr; object_id = -1; size_class = -1; path = `Paged; write };
+    if t.debug then
+      log_event t
+        { ptr; object_id = -1; size_class = -1; path = `Paged; write };
     if active then
       Telemetry.Sink.guard_event tel ~path:`Paged ~write
         ~cycles:(Clock.cycles t.clock - c0)
-        ~bytes_in:(Clock.get t.clock "net.bytes_in" - bin0)
-        ~bytes_out:(Clock.get t.clock "net.bytes_out" - bout0)
+        ~bytes_in:(Clock.value t.ctr.net_bytes_in - bin0)
+        ~bytes_out:(Clock.value t.ctr.net_bytes_out - bout0)
   end
 
-let page_accesses t = Clock.get t.clock "tfm.page_accesses"
+let page_accesses t = Clock.value t.ctr.page_accesses
 
 (* -- loop chunking ------------------------------------------------------- *)
 
@@ -413,7 +453,7 @@ let chunk_init t ~handle ~stride_bytes =
      object and pays the locality invariant guard, so the total entry
      cost is Cost_eq.chunk_entry_cost. *)
   Clock.tick t.clock 130;
-  Clock.count t.clock "tfm.chunk_inits" 1
+  Clock.bump t.ctr.chunk_inits 1
 
 let issue_prefetch t (c : size_class) id stride_objects =
   if t.prefetch && stride_objects <> 0 then
@@ -426,7 +466,7 @@ let chunk_access t ~handle ~ptr ~size ~write =
   if not (Nc_ptr.is_tracked ptr) then begin
     Telemetry.Sink.cat_enter t.telemetry Telemetry.Span.Guard_fast;
     Clock.tick t.clock t.cost.Cost_model.custody_check;
-    Clock.count t.clock "tfm.custody_skips" 1;
+    Clock.bump t.ctr.custody_skips 1;
     Telemetry.Sink.cat_exit t.telemetry;
     if Telemetry.Sink.is_active t.telemetry then
       Telemetry.Sink.guard_event t.telemetry ~path:`Custody ~write
@@ -440,7 +480,7 @@ let chunk_access t ~handle ~ptr ~size ~write =
        has to pull the object reclassifies to the slow path below. *)
     Telemetry.Sink.cat_enter t.telemetry Telemetry.Span.Guard_fast;
     Clock.tick t.clock t.cost.Cost_model.boundary_check;
-    Clock.count t.clock "tfm.boundary_checks" 1;
+    Clock.bump t.ctr.boundary_checks 1;
     (match s.cur with
     | Some (ci, cur) when ci = cls_idx && cur = id -> ()
     | prev ->
@@ -450,12 +490,12 @@ let chunk_access t ~handle ~ptr ~size ~write =
         let tel = t.telemetry in
         let active = Telemetry.Sink.is_active tel in
         let c0 = Clock.cycles t.clock in
-        let bin0 = if active then Clock.get t.clock "net.bytes_in" else 0 in
-        let bout0 = if active then Clock.get t.clock "net.bytes_out" else 0 in
+        let bin0 = if active then Clock.value t.ctr.net_bytes_in else 0 in
+        let bout0 = if active then Clock.value t.ctr.net_bytes_out else 0 in
         unpin_cur t prev;
         metadata_lookup t cls_idx id;
         Clock.tick t.clock t.cost.Cost_model.locality_guard;
-        Clock.count t.clock "tfm.locality_guards" 1;
+        Clock.bump t.ctr.locality_guards 1;
         if not (Pool.is_local c.pool id) then
           Telemetry.Sink.cat_reclass tel Telemetry.Span.Guard_slow;
         Pool.ensure_local c.pool id;
@@ -471,8 +511,8 @@ let chunk_access t ~handle ~ptr ~size ~write =
         if active then
           Telemetry.Sink.guard_event tel ~path:`Locality ~write
             ~cycles:(Clock.cycles t.clock - c0)
-            ~bytes_in:(Clock.get t.clock "net.bytes_in" - bin0)
-            ~bytes_out:(Clock.get t.clock "net.bytes_out" - bout0));
+            ~bytes_in:(Clock.value t.ctr.net_bytes_in - bin0)
+            ~bytes_out:(Clock.value t.ctr.net_bytes_out - bout0));
     if write then Pool.mark_dirty c.pool id;
     let id_last = object_id c (ptr + size - 1) in
     if id_last <> id then localize_for_access c id_last ~write;
@@ -488,5 +528,5 @@ let chunk_end t ~handle =
 
 (* -- introspection ------------------------------------------------------- *)
 
-let fast_guards t = Clock.get t.clock "tfm.fast_guards"
-let slow_guards t = Clock.get t.clock "tfm.slow_guards"
+let fast_guards t = Clock.value t.ctr.fast_guards
+let slow_guards t = Clock.value t.ctr.slow_guards

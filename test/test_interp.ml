@@ -160,6 +160,74 @@ let test_profile_collection () =
   Alcotest.(check int) "header count" 101
     (Profile.block_count profile ~func:"main" ~block:header.label)
 
+(* Every block of every function of [m]: (func, block) pairs. *)
+let all_blocks (m : Ir.modul) =
+  List.concat_map
+    (fun (f : Ir.func) ->
+      List.map (fun (b : Ir.block) -> (f.Ir.fname, b.Ir.label)) f.blocks)
+    m.Ir.funcs
+
+let check_same_profile label m a b =
+  List.iter
+    (fun (func, block) ->
+      Alcotest.(check int)
+        (Printf.sprintf "%s: %s/%s" label func block)
+        (Profile.block_count a ~func ~block)
+        (Profile.block_count b ~func ~block))
+    (all_blocks m)
+
+(* Both engines count block executions in per-block slots and fold them
+   into the profile at exit; the folded profiles must agree block for
+   block. *)
+let test_profile_engines_agree () =
+  let open Workloads in
+  let hp = Hashmap.default_params ~keys:500 ~lookups:1_000 in
+  List.iter
+    (fun (name, build, blobs) ->
+      let interp = Driver.profile_of ~engine:Engine.Interp ~blobs build in
+      let compiled = Driver.profile_of ~engine:Engine.Compiled ~blobs build in
+      Alcotest.(check bool)
+        (name ^ ": entry counted") true
+        (Profile.block_count interp ~func:"main" ~block:"entry" = 1);
+      check_same_profile name (build ()) interp compiled)
+    [
+      ("stream-sum", (fun () -> Stream.build ~n:2_000 ~kernel:Stream.Sum ()), []);
+      ("kmeans", Kmeans.build (Kmeans.default_params ~n:300), []);
+      ("hashmap", Hashmap.build hp, [ (0, Hashmap.trace_blob hp) ]);
+      ("analytics", Analytics.build (Analytics.default_params ~rows:500), []);
+      ("llist", Llist.build ~nodes:300 ~tnodes:63, []);
+    ]
+
+(* A run that runs out of fuel mid-loop keeps the counts of the blocks it
+   executed before the trap, identically on both engines. *)
+let test_profile_survives_trap () =
+  let m = Workloads.Stream.build ~n:100_000 ~kernel:Workloads.Stream.Sum () in
+  let profiled engine =
+    let profile = Profile.create () in
+    let clock = Clock.create () in
+    let backend = Backend.local Cost_model.default clock (Memstore.create ()) in
+    Alcotest.(check bool)
+      (Engine.to_string engine ^ ": out of fuel") true
+      (try
+         ignore
+           (Engine.run ~engine ~profile ~fuel:20_000 backend m ~entry:"main");
+         false
+       with Interp.Trap _ -> true);
+    profile
+  in
+  let interp = profiled Engine.Interp in
+  let compiled = profiled Engine.Compiled in
+  let counts p =
+    List.map
+      (fun (func, block) -> Profile.block_count p ~func ~block)
+      (all_blocks m)
+  in
+  Alcotest.(check int) "entry counted" 1
+    (Profile.block_count interp ~func:"main" ~block:"entry");
+  Alcotest.(check bool) "a loop block ran many times" true
+    (List.exists (fun n -> n > 100) (counts interp));
+  check_same_profile "fuel trap" m interp compiled
+
 let test_trackfm_backend_rejects_raw_malloc () =
   let m = Ir.create_module () in
   let b = Builder.create m ~name:"main" ~nparams:0 in
@@ -300,6 +368,10 @@ let suite =
       Alcotest.test_case "unknown function" `Quick test_unknown_function_traps;
       Alcotest.test_case "cycles positive" `Quick test_cycles_monotonic_and_positive;
       Alcotest.test_case "profile collection" `Quick test_profile_collection;
+      Alcotest.test_case "profile: engines agree" `Quick
+        test_profile_engines_agree;
+      Alcotest.test_case "profile: kept on trap" `Quick
+        test_profile_survives_trap;
       Alcotest.test_case "raw malloc rejected" `Quick
         test_trackfm_backend_rejects_raw_malloc;
       Alcotest.test_case "bench_begin resets" `Quick test_bench_begin_resets;

@@ -13,6 +13,33 @@ let test_clock_tick_and_counters () =
   Alcotest.(check int) "reset cycles" 0 (Clock.cycles c);
   Alcotest.(check int) "reset counter" 0 (Clock.get c "x")
 
+(* Interned counter handles: only a bump lists a name, [reset] zeroes in
+   place, and handles, [count] and [get] all see one counter. *)
+let test_clock_counter_handles () =
+  let names c = List.map fst (Clock.counters c) in
+  let c = Clock.create () in
+  let x = Clock.counter c "x" in
+  Alcotest.(check (list string)) "handle alone is not listed" [] (names c);
+  Alcotest.(check int) "unbumped handle reads 0" 0 (Clock.value x);
+  Clock.bump x 0;
+  Alcotest.(check (list (pair string int)))
+    "bump by 0 lists the name" [ ("x", 0) ] (Clock.counters c);
+  Clock.bump x 5;
+  Clock.count c "x" 2;
+  Alcotest.(check int) "count and bump share a counter" 7 (Clock.value x);
+  Alcotest.(check int) "get sees the handle's bumps" 7 (Clock.get c "x");
+  Alcotest.(check bool) "a second handle is the same counter" true
+    (Clock.value (Clock.counter c "x") = 7);
+  Clock.count c "y" 1;
+  Clock.reset c;
+  Alcotest.(check (list string)) "reset unlists every name" [] (names c);
+  Alcotest.(check int) "reset zeroes the handle" 0 (Clock.value x);
+  Alcotest.(check int) "reset zeroes get" 0 (Clock.get c "x");
+  Clock.bump x 3;
+  Alcotest.(check (list (pair string int)))
+    "a pre-reset handle keeps counting" [ ("x", 3) ] (Clock.counters c);
+  Alcotest.(check int) "get after reset" 3 (Clock.get c "x")
+
 let test_memstore_rw_sizes () =
   let s = Memstore.create () in
   Memstore.store s ~addr:100 ~size:1 0xAB;
@@ -119,6 +146,8 @@ let suite =
   ( "memsim",
     [
       Alcotest.test_case "clock" `Quick test_clock_tick_and_counters;
+      Alcotest.test_case "clock counter handles" `Quick
+        test_clock_counter_handles;
       Alcotest.test_case "memstore sizes" `Quick test_memstore_rw_sizes;
       Alcotest.test_case "memstore zero" `Quick test_memstore_zero_default;
       Alcotest.test_case "memstore spanning" `Quick test_memstore_page_spanning;
