@@ -37,6 +37,8 @@
 #                modes x fault seeds run under both the interpreter and
 #                the compiled engine with byte-identical counters JSON
 #                (compiled additionally diffed against ci/golden/), the
+#                same workloads x fault seeds under Fastswap (both
+#                engines, diffed against ci/golden/fastswap-*.json), the
 #                check matrix re-run with --engine compiled, and the
 #                engine_speedup dispatch-throughput experiment must PASS
 #   hybrid     - hybrid data-plane gate: fixed-seed routed runs (pointer
@@ -428,6 +430,33 @@ stage_engines() {
             done
         done
     done
+    # Kernel paging (Fastswap) cells: the same workloads and fault seeds
+    # with every heap access through the swap page table, interp and
+    # compiled byte-identical and both pinned to ci/golden/fastswap-*.
+    for w in $ENGINE_WORKLOADS; do
+        for seed in $ENGINE_SEEDS; do
+            base="_ci/engines/fastswap-$w-seed$seed"
+            for engine in interp compiled; do
+                "$CLI" run -w "$w" -s fastswap -m 25 \
+                    --faults "$FAULT_SPEC" --fault-seed "$seed" \
+                    --engine "$engine" --counters-json "$base-$engine.json" >/dev/null
+            done
+            if ! cmp -s "$base-interp.json" "$base-compiled.json"; then
+                echo "engines: DIVERGED: fastswap $w seed $seed interp vs compiled" >&2
+                diff "$base-interp.json" "$base-compiled.json" >&2 || true
+                fail=1
+            fi
+            golden="ci/golden/fastswap-$w-seed$seed.json"
+            if [ ! -f "$golden" ]; then
+                echo "engines: missing golden $golden (regenerate with: ./ci.sh --update-golden)" >&2
+                fail=1
+            elif ! cmp -s "$golden" "$base-compiled.json"; then
+                echo "engines: DRIFT: fastswap $w seed $seed compiled differs from $golden" >&2
+                diff "$golden" "$base-compiled.json" >&2 || true
+                fail=1
+            fi
+        done
+    done
     # The check matrix must also hold under the compiled engine (check
     # re-runs every workload under both engines and requires identical
     # results and counters).
@@ -598,6 +627,14 @@ update_golden() {
             echo "  ci/golden/$w-seed$seed.json"
         done
     done
+    for w in $ENGINE_WORKLOADS; do
+        for seed in $ENGINE_SEEDS; do
+            "$CLI" run -w "$w" -s fastswap -m 25 \
+                --faults "$FAULT_SPEC" --fault-seed "$seed" \
+                --counters-json "ci/golden/fastswap-$w-seed$seed.json" >/dev/null
+            echo "  ci/golden/fastswap-$w-seed$seed.json"
+        done
+    done
     for b in $SERVING_BACKENDS; do
         for rate in $SERVING_RATES; do
             serving_run "$b" "$rate" "ci/golden/serving-$b-r$rate.json"
@@ -633,7 +670,7 @@ smoke       quick bench-harness run with metrics JSON export
 faults      fault-injection determinism matrix vs ci/golden/
 durability  replicated-tier crash matrix (r=1 must lose data, r=3 must not)
 tracing     span tracing must not perturb counters; trace schema + attribution
-engines     interp-vs-compiled differential matrix + dispatch-throughput gate
+engines     interp-vs-compiled differential matrix (trackfm + fastswap) + dispatch-throughput gate
 hybrid      routed-run determinism + goldens + routing/shape gates + shadow audit
 serving     fixed-seed overload sweep of the serving tier vs ci/golden/
 perfbench   smoke test of the repository benchmark (perfbench/smoke.py)

@@ -13,7 +13,7 @@ type t = {
   net : Net.t;
   budget_pages : int;
   readahead : int;
-  state : (int, int) Hashtbl.t; (* page index -> bits *)
+  state : int Pagedir.t; (* page index -> bits, 0 when never touched *)
   lru : int Queue.t;
   mutable present : int;
   telemetry : Telemetry.Sink.t;
@@ -41,7 +41,7 @@ let create ?(readahead = 0) ?(faults = Faults.disabled) ?cluster
     net;
     budget_pages = max 1 (local_budget / page_size);
     readahead;
-    state = Hashtbl.create 4096;
+    state = Pagedir.create 0;
     lru = Queue.create ();
     present = 0;
     telemetry;
@@ -53,8 +53,8 @@ let create ?(readahead = 0) ?(faults = Faults.disabled) ?cluster
   }
 
 let net t = t.net
-let get_state t p = try Hashtbl.find t.state p with Not_found -> 0
-let set_state t p s = Hashtbl.replace t.state p s
+let get_state t p = Pagedir.get t.state p
+let set_state t p s = Pagedir.set t.state p s
 
 let is_present t ~addr = get_state t (addr lsr page_bits) land bit_present <> 0
 let present_pages t = t.present
@@ -175,9 +175,15 @@ let fault_page t p ~write =
 
 let touch t p ~write =
   let s = get_state t p in
-  if s land bit_present = 0 then fault_page t p ~write;
-  let s = get_state t p in
-  set_state t p (s lor bit_hot lor if write then bit_dirty else 0)
+  let s =
+    if s land bit_present <> 0 then s
+    else begin
+      fault_page t p ~write;
+      get_state t p
+    end
+  in
+  let s' = s lor bit_hot lor if write then bit_dirty else 0 in
+  if s' <> s then set_state t p s'
 
 let access t ~addr ~size ~write =
   let first = addr lsr page_bits in

@@ -16,7 +16,7 @@
      IR calls (bound to the callee's compiled body), or the backend's
      intrinsic dispatcher — the runtime never re-classifies a name;
    - per-site one-entry page caches for 8-byte loads/stores, skipping
-     the memstore hash lookup on page-local streaks.
+     the memstore page-directory walk on page-local streaks.
 
    Blocks become closures driven by an iterative trampoline (loops must
    not grow the OCaml stack), exactly like the interpreter's iterative

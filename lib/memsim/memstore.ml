@@ -2,17 +2,25 @@ let page_size = 4096
 let page_bits = 12
 let page_mask = page_size - 1
 
-type t = { pages : (int, Bytes.t) Hashtbl.t }
+type t = { pages : Bytes.t Pagedir.t }
 
-let create () = { pages = Hashtbl.create 1024 }
+(* What an untouched page index reads as in [pages]: a zero-length
+   sentinel no caller ever sees, replaced by a zeroed page on first
+   touch. *)
+let absent = Bytes.create 0
 
-let page t idx =
-  match Hashtbl.find_opt t.pages idx with
-  | Some p -> p
-  | None ->
-      let p = Bytes.make page_size '\000' in
-      Hashtbl.replace t.pages idx p;
-      p
+let create () = { pages = Pagedir.create absent }
+
+(* Out of line, so that [page] stays small enough to inline into every
+   accessor. *)
+let materialize t idx =
+  let p = Bytes.make page_size '\000' in
+  Pagedir.set t.pages idx p;
+  p
+
+let[@inline] page t idx =
+  let p = Pagedir.get t.pages idx in
+  if p != absent then p else materialize t idx
 
 (* Pages are only ever created, never dropped or replaced, so a handle
    returned here stays the backing store of its index for the lifetime of
@@ -33,12 +41,13 @@ let rec load t ~addr ~size =
     | _ -> invalid_arg "Memstore.load: size"
   end
   else begin
-    (* Access spans a page boundary: assemble byte by byte. *)
+    (* Access spans a page boundary: assemble byte by byte, then clear the
+       sign bit as the in-page 8-byte path does. *)
     let v = ref 0 in
     for k = size - 1 downto 0 do
       v := (!v lsl 8) lor load t ~addr:(addr + k) ~size:1
     done;
-    !v
+    !v land max_int
   end
 
 let rec store t ~addr ~size v =
@@ -46,7 +55,7 @@ let rec store t ~addr ~size v =
   if off + size <= page_size then begin
     let p = page t (addr lsr page_bits) in
     match size with
-    | 1 -> Bytes.set p off (Char.chr (v land 0xFF))
+    | 1 -> Bytes.set p off (Char.unsafe_chr (v land 0xFF))
     | 2 -> Bytes.set_uint16_le p off (v land 0xFFFF)
     | 4 -> Bytes.set_int32_le p off (Int32.of_int v)
     | 8 -> Bytes.set_int64_le p off (Int64.of_int v)

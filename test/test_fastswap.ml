@@ -123,6 +123,98 @@ let prop_swapped_data_refaults =
       done;
       Clock.get clock "fastswap.major_faults" >= n - budget_pages)
 
+(* Page-table edges. The swap state lives in a sparse page directory
+   whose leaves span 512 pages and whose segments span 2^18 pages (1 GiB).
+   The same access pattern is replayed with its midpoint at the heap base
+   (a segment edge: the pages below it belong to the previous segment),
+   one leaf above it, one segment above it, and well inside one leaf. Its
+   major faults read ahead across the midpoint and its reclaim gives
+   second chances to pages on both sides, so every observation (presence
+   of each page, present count, fastswap counters, cycles) must match the
+   in-leaf run exactly. *)
+let edge_trace mid =
+  let swap, clock = make ~readahead:3 ~local_budget:(6 * page) () in
+  let lo = mid - 8 and hi = mid + 8 in
+  let at p = p * page in
+  let window shift =
+    List.init (hi - lo + 1) (fun k ->
+        Fastswap.Swap.is_present swap ~addr:(at (lo + shift + k)))
+  in
+  (* The same window half a leaf, a leaf, half a segment and a segment
+     away is never touched: a directory that aliased slots, leaves or
+     segments would show pages there. *)
+  let ghosts () =
+    List.exists (List.mem true)
+      (List.map window
+         [ -(1 lsl 18); -(1 lsl 17); -512; -256; 256; 512; 1 lsl 17;
+           1 lsl 18 ])
+  in
+  let observe () =
+    ( window 0,
+      ghosts (),
+      Fastswap.Swap.present_pages swap,
+      List.filter
+        (fun (name, _) -> String.starts_with ~prefix:"fastswap." name)
+        (Clock.counters clock),
+      Clock.cycles clock )
+  in
+  let trace = ref [] in
+  let step p ~off ~write =
+    Fastswap.Swap.access swap ~addr:(at p + off) ~size:8 ~write;
+    trace := observe () :: !trace
+  in
+  (* Dirty twelve pages across the midpoint: reclaim writes back the
+     oldest. *)
+  for k = 0 to 11 do
+    step (mid - 6 + k) ~off:0 ~write:true
+  done;
+  (* Re-fault below the midpoint: readahead pulls the swapped-out pages
+     after each fault, across it. *)
+  for k = 0 to 3 do
+    step (mid - 6 + k) ~off:16 ~write:false
+  done;
+  (* Straddle the midpoint, then re-touch both sides so the second-chance
+     pass finds hot pages on both sides of the edge. *)
+  step (mid - 1) ~off:(page - 4) ~write:false;
+  for k = 0 to 5 do
+    step (mid - 3 + k) ~off:8 ~write:(k mod 2 = 0)
+  done;
+  for k = 0 to 7 do
+    step (mid + 8 - k) ~off:0 ~write:false
+  done;
+  List.rev !trace
+
+let test_directory_edges () =
+  let heap = Backend.heap_base / page in
+  let inside = edge_trace (heap + 256) in
+  let _, _, _, counters, _ = List.nth inside (List.length inside - 1) in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " exercised") true
+        (List.assoc_opt name counters |> Option.value ~default:0 > 0))
+    [
+      "fastswap.major_faults";
+      "fastswap.readahead_pages";
+      "fastswap.evictions";
+      "fastswap.writebacks";
+    ];
+  let no_ghosts trace =
+    List.for_all (fun (_, ghost, _, _, _) -> not ghost) trace
+  in
+  Alcotest.(check bool) "inside one leaf: no aliased pages" true
+    (no_ghosts inside);
+  List.iter
+    (fun (what, mid) ->
+      let trace = edge_trace mid in
+      Alcotest.(check bool) (what ^ ": no aliased pages") true
+        (no_ghosts trace);
+      Alcotest.(check bool) (what ^ " = inside one leaf") true (trace = inside))
+    [
+      ("segment edge at the heap base", heap);
+      ("leaf edge", heap + 512);
+      ("segment edge 1 GiB above the heap base", heap + (1 lsl 18));
+    ]
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   ( "fastswap",
@@ -135,6 +227,7 @@ let suite =
       Alcotest.test_case "page spanning" `Quick test_page_spanning_access;
       Alcotest.test_case "clean drop" `Quick test_clean_page_dropped_silently;
       Alcotest.test_case "readahead" `Quick test_readahead;
+      Alcotest.test_case "directory edges" `Quick test_directory_edges;
       q prop_budget_invariant;
       q prop_swapped_data_refaults;
     ] )

@@ -101,6 +101,142 @@ let prop_memstore_roundtrip =
       Memstore.store s ~addr ~size v;
       Memstore.load s ~addr ~size = v land mask)
 
+(* Model-based check of the page directory under Memstore: random
+   stores and loads of every width, against a byte-level [Hashtbl] model.
+   Addresses cluster around the places the directory splits: the globals
+   region, the stack and the heap, 2 MiB leaf edges and 1 GiB segment
+   edges, with small offsets so accesses straddle pages and read back
+   each other's bytes. *)
+let global_base = 1 lsl 28
+let stack_base = 1 lsl 30
+let leaf_span = 1 lsl 21
+let segment_span = 1 lsl 30
+
+let model_anchors =
+  [|
+    global_base;
+    global_base + leaf_span;
+    stack_base;
+    stack_base - leaf_span;
+    stack_base + leaf_span;
+    2 * segment_span;
+    Backend.heap_base;
+    Backend.heap_base + (leaf_span / 2);
+    Backend.heap_base + leaf_span;
+    Backend.heap_base + (5 * leaf_span);
+    Backend.heap_base + (261 * leaf_span);
+    Backend.heap_base + segment_span;
+    Backend.heap_base - segment_span;
+  |]
+
+type mem_op =
+  | Store of int * int * int (* addr, size, value *)
+  | Load of int * int
+  | Store64 of int * int64
+  | Load64 of int
+  | Store_float of int * float
+  | Load_float of int
+
+let gen_addr =
+  QCheck.Gen.(
+    map3
+      (fun a page off -> model_anchors.(a) + (page * Memstore.page_size) + off)
+      (int_bound (Array.length model_anchors - 1))
+      (int_range (-1) 1) (int_range (-12) 12))
+
+let gen_mem_op =
+  QCheck.Gen.(
+    gen_addr >>= fun addr ->
+    frequency
+      [
+        ( 4,
+          map2
+            (fun size v -> Store (addr, size, v))
+            (oneofl [ 1; 2; 4; 8 ]) (int_bound max_int) );
+        (4, map (fun size -> Load (addr, size)) (oneofl [ 1; 2; 4; 8 ]));
+        (1, map (fun v -> Store64 (addr, v)) ui64);
+        (1, return (Load64 addr));
+        (1, map (fun x -> Store_float (addr, x)) float);
+        (1, return (Load_float addr));
+      ])
+
+let print_mem_op = function
+  | Store (a, n, v) -> Printf.sprintf "store 0x%x/%d %d" a n v
+  | Load (a, n) -> Printf.sprintf "load 0x%x/%d" a n
+  | Store64 (a, v) -> Printf.sprintf "store64 0x%x %Ld" a v
+  | Load64 a -> Printf.sprintf "load64 0x%x" a
+  | Store_float (a, x) -> Printf.sprintf "store_float 0x%x %h" a x
+  | Load_float a -> Printf.sprintf "load_float 0x%x" a
+
+let prop_memstore_model =
+  QCheck.Test.make ~name:"memstore matches a byte model across regions"
+    ~count:200
+    (QCheck.make
+       ~print:QCheck.Print.(list print_mem_op)
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 1 120) gen_mem_op))
+    (fun ops ->
+      let s = Memstore.create () in
+      let bytes = Hashtbl.create 64 in
+      let byte a = Option.value ~default:0 (Hashtbl.find_opt bytes a) in
+      let put64 a v =
+        for k = 0 to 7 do
+          Hashtbl.replace bytes (a + k)
+            (Int64.to_int (Int64.shift_right_logical v (8 * k)) land 0xFF)
+        done
+      in
+      let get64 a =
+        let v = ref 0L in
+        for k = 7 downto 0 do
+          v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (byte (a + k)))
+        done;
+        !v
+      in
+      List.for_all
+        (function
+          | Store (a, n, v) ->
+              Memstore.store s ~addr:a ~size:n v;
+              for k = 0 to n - 1 do
+                Hashtbl.replace bytes (a + k) ((v lsr (8 * k)) land 0xFF)
+              done;
+              true
+          | Load (a, n) ->
+              let v = ref 0 in
+              for k = n - 1 downto 0 do
+                v := (!v lsl 8) lor byte (a + k)
+              done;
+              (* 8-byte loads keep the low 63 bits. *)
+              Memstore.load s ~addr:a ~size:n = !v land max_int
+          | Store64 (a, v) ->
+              Memstore.store64 s ~addr:a v;
+              put64 a v;
+              true
+          | Load64 a -> Int64.equal (Memstore.load64 s ~addr:a) (get64 a)
+          | Store_float (a, x) ->
+              Memstore.store_float s ~addr:a x;
+              put64 a (Int64.bits_of_float x);
+              true
+          | Load_float a ->
+              Int64.equal
+                (Int64.bits_of_float (Memstore.load_float s ~addr:a))
+                (get64 a))
+        ops)
+
+(* Memory grows with the regions touched, not with the address: one byte
+   in each of the globals, stack and heap regions costs three pages, three
+   leaves and three segment directories (513 words each) and a few words
+   of bookkeeping. A flat table reaching the heap would need 2^32 slots. *)
+let test_memstore_sparse_footprint () =
+  let s = Memstore.create () in
+  List.iter
+    (fun addr -> Memstore.store s ~addr ~size:1 1)
+    [ global_base; stack_base; Backend.heap_base ];
+  let words = Obj.reachable_words (Obj.repr s) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d words <= 9 x 513 + 64" words)
+    true
+    (words <= (9 * 513) + 64)
+
 let test_transfer_cycles () =
   let c = Cost_model.default in
   (* 4 KiB at 25 Gb/s on a 2.4 GHz clock plus RDMA latency lands in the
@@ -157,5 +293,8 @@ let suite =
       Alcotest.test_case "net accounting" `Quick test_net_fetch_accounting;
       Alcotest.test_case "prefetch cheaper" `Quick test_prefetched_fetch_cheaper;
       Alcotest.test_case "tcp vs rdma" `Quick test_tcp_slower_than_rdma;
+      Alcotest.test_case "memstore sparse footprint" `Quick
+        test_memstore_sparse_footprint;
       QCheck_alcotest.to_alcotest prop_memstore_roundtrip;
+      QCheck_alcotest.to_alcotest prop_memstore_model;
     ] )
