@@ -55,8 +55,8 @@ let tfm ?blobs ?(object_size = 4096) ?(chunk_mode = `Gated) ?(prefetch = true)
   in
   let opts =
     {
+      (Driver.tfm_defaults ~local_budget:budget) with
       Driver.object_size;
-      local_budget = budget;
       chunk_mode;
       prefetch;
       use_state_table;
@@ -65,7 +65,6 @@ let tfm ?blobs ?(object_size = 4096) ?(chunk_mode = `Gated) ?(prefetch = true)
       use_summaries = summaries;
       use_shapes = shapes;
       route;
-      route_hotspots = [];
       size_classes;
       faults;
       replicas = !replicas;
@@ -79,18 +78,14 @@ let tfm_with_report ?blobs ?(object_size = 4096) ?(chunk_mode = `Gated)
     ?(shapes = true) ?(route = `Off) ~budget build =
   let opts =
     {
+      (Driver.tfm_defaults ~local_budget:budget) with
       Driver.object_size;
-      local_budget = budget;
       chunk_mode;
-      prefetch = true;
-      use_state_table = true;
       profile_gate;
       elide_guards = elide;
       use_summaries = summaries;
       use_shapes = shapes;
       route;
-      route_hotspots = [];
-      size_classes = [];
       faults = active_faults ();
       replicas = !replicas;
       ack = !ack;
@@ -175,18 +170,8 @@ let span_sink ~op_classes =
 let tfm_spans ?blobs ?(object_size = 4096) ~op_classes ~budget build =
   let opts =
     {
+      (Driver.tfm_defaults ~local_budget:budget) with
       Driver.object_size;
-      local_budget = budget;
-      chunk_mode = `Gated;
-      prefetch = true;
-      use_state_table = true;
-      profile_gate = true;
-      elide_guards = true;
-      use_summaries = true;
-      use_shapes = true;
-      route = `Off;
-      route_hotspots = [];
-      size_classes = [];
       faults = active_faults ();
       replicas = !replicas;
       ack = !ack;

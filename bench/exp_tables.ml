@@ -312,18 +312,10 @@ let hw_kona () =
           let hw =
             let opts =
               {
+                (Driver.tfm_defaults ~local_budget:budget) with
                 Driver.object_size = 64;
-                local_budget = budget;
                 chunk_mode = `Off;
-                prefetch = true;
-                use_state_table = true;
                 profile_gate = false;
-                elide_guards = true;
-                use_summaries = true;
-                use_shapes = true;
-                route = `Off;
-                route_hotspots = [];
-                size_classes = [];
                 faults = active_faults ();
                 replicas = !replicas;
                 ack = !ack;
@@ -344,18 +336,10 @@ let hw_kona () =
           let hw =
             let opts =
               {
+                (Driver.tfm_defaults ~local_budget:budget) with
                 Driver.object_size = 64;
-                local_budget = budget;
                 chunk_mode = `Off;
-                prefetch = true;
-                use_state_table = true;
                 profile_gate = false;
-                elide_guards = true;
-                use_summaries = true;
-                use_shapes = true;
-                route = `Off;
-                route_hotspots = [];
-                size_classes = [];
                 faults = active_faults ();
                 replicas = !replicas;
                 ack = !ack;

@@ -177,18 +177,14 @@ let exec_system ?(engine = Engine.Interp) ?(route = `Off)
   | "trackfm" ->
       let opts =
         {
+          (Driver.tfm_defaults ~local_budget:budget) with
           Driver.object_size;
-          local_budget = budget;
           chunk_mode;
           prefetch;
-          use_state_table = true;
-          profile_gate = true;
-          elide_guards = true;
           use_summaries = summaries;
           use_shapes = shapes;
           route;
           route_hotspots;
-          size_classes = [];
           faults;
           replicas;
           ack;
@@ -447,19 +443,33 @@ let with_engine engine_name k =
       Printf.eprintf "unknown engine %s (interp|compiled)\n" engine_name;
       1
 
+(* [--object-size] and [--replicas] checked once, before any work: a bad
+   value is a one-line error naming the flag, not an uncaught exception
+   from Pool.create or Cluster.create deep inside the run. *)
+let with_sizes ?object_size ?replicas k =
+  let bad flag v need =
+    Printf.eprintf "bad %s %d: %s\n" flag v need;
+    1
+  in
+  match (object_size, replicas) with
+  | Some o, _ when o < 16 || o > 65536 || o land (o - 1) <> 0 ->
+      bad "--object-size" o "must be a power of two in 16..65536"
+  | _, Some r when r < 1 || r > 8 -> bad "--replicas" r "must be in 1..8"
+  | _ -> k ()
+
 let run_cmd workload_name system engine_name local_pct object_size chunk
     route_name prefetch summaries shapes o1 fault_spec fault_seed replicas ack
     counters_json trace_file metrics_file sample_interval attribution_file
     flight_file =
   with_engine engine_name @@ fun engine ->
+  with_sizes ~object_size ~replicas @@ fun () ->
   match
     (find_workload workload_name, Faults.parse fault_spec, route_of route_name)
   with
   | Error e, _, _ | _, Error e, _ | _, _, Error e ->
       prerr_endline e;
       1
-  | Ok w, Ok fault_cfg, Ok route when replicas >= 1 && ack >= 1 && ack <= replicas
-    -> (
+  | Ok w, Ok fault_cfg, Ok route when ack >= 1 && ack <= replicas -> (
       let faults = Faults.create ~seed:fault_seed fault_cfg in
       let budget = max (16 * object_size) (w.working_set * local_pct / 100) in
       Printf.printf
@@ -658,6 +668,7 @@ let report_cmd workload_name system engine_name local_pct object_size chunk
     route_name prefetch summaries o1 fault_spec fault_seed trace_file
     metrics_file sample_interval =
   with_engine engine_name @@ fun engine ->
+  with_sizes ~object_size @@ fun () ->
   match
     (find_workload workload_name, Faults.parse fault_spec, route_of route_name)
   with
@@ -954,6 +965,7 @@ let with_live_spans w ~system ~engine ~local_pct ~object_size ~chunk ~prefetch
 let critical_path_cmd workload_opt system engine_name local_pct object_size
     chunk prefetch summaries o1 fault_spec fault_seed from_file =
   with_engine engine_name @@ fun engine ->
+  with_sizes ~object_size @@ fun () ->
   match from_file with
   | Some path -> (
       match load_attribution path with
@@ -1047,6 +1059,7 @@ let load_slo_rules slo_spec slo_file =
 let slo_cmd workload_opt system engine_name local_pct object_size chunk
     prefetch summaries o1 fault_spec fault_seed from_file slo_spec slo_file =
   with_engine engine_name @@ fun engine ->
+  with_sizes ~object_size @@ fun () ->
   match load_slo_rules slo_spec slo_file with
   | Error e ->
       prerr_endline e;
@@ -1161,6 +1174,7 @@ let serve_cmd backend_name rate requests tenants keys skew value_size budget
     connections service_cycles readahead queue_cap deadline no_admission
     no_shedding no_degradation open_loop fault_spec fault_seed replicas ack
     seed serving_json attribution_file flight_file =
+  with_sizes ~replicas @@ fun () ->
   match (Serving.backend_of_string backend_name, Faults.parse fault_spec) with
   | None, _ ->
       Printf.eprintf "unknown backend %s (trackfm|fastswap|aifm)\n"
@@ -1263,6 +1277,7 @@ let validate_cmd schema_file input_file =
           1)
 
 let sweep_cmd workload_name object_size =
+  with_sizes ~object_size @@ fun () ->
   match find_workload workload_name with
   | Error e ->
       prerr_endline e;
@@ -1283,23 +1298,7 @@ let sweep_cmd workload_name object_size =
         (fun pct ->
           let budget = max (16 * 4096) (w.working_set * pct / 100) in
           let opts =
-            {
-              Driver.object_size;
-              local_budget = budget;
-              chunk_mode = `Gated;
-              prefetch = true;
-              use_state_table = true;
-              profile_gate = true;
-              elide_guards = true;
-              use_summaries = true;
-              use_shapes = true;
-              route = `Off;
-              route_hotspots = [];
-              size_classes = [];
-              faults = Faults.disabled;
-              replicas = 1;
-              ack = 1;
-            }
+            { (Driver.tfm_defaults ~local_budget:budget) with Driver.object_size }
           in
           let tfm, _ = Driver.run_trackfm ~blobs:w.blobs w.build opts in
           let fs =
@@ -1738,7 +1737,7 @@ let object_size_arg =
   Arg.(
     value & opt int 4096
     & info [ "o"; "object-size" ] ~docv:"BYTES"
-        ~doc:"TrackFM/AIFM object size (power of two, 64-65536).")
+        ~doc:"TrackFM/AIFM object size (power of two, 16-65536).")
 
 let chunk_arg =
   Arg.(

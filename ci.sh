@@ -18,7 +18,8 @@
 #                witness re-check over every workload x chunk mode x
 #                optimizer on/off (trackfm_cli check); summary, classify
 #                (text + schema-validated JSON) and shape dumps must be
-#                byte-identical across two runs
+#                byte-identical across two runs; an out-of-range
+#                --object-size or --replicas must exit 1 naming the flag
 #   test       - dune runtest (tier-1 unit/property/integration suites)
 #   smoke      - quick bench-harness run; writes metrics JSON to _ci/metrics
 #   faults     - fault-injection determinism matrix: fixed workloads x seeds,
@@ -32,7 +33,10 @@
 #                sim (counters byte-identical to ci/golden/), the exported
 #                Chrome trace must validate against ci/trace_schema.json,
 #                and fixed-seed attribution exports must be byte-identical
-#                across two runs (workloads x seeds matrix)
+#                across two runs (workloads x seeds matrix); the report
+#                views (critical-path, slo) over an export must be
+#                deterministic, and report's site-vs-counter
+#                attribution cross-check must read OK on every line
 #   engines    - execution-engine differential gate: workloads x chunk
 #                modes x fault seeds run under both the interpreter and
 #                the compiled engine with byte-identical counters JSON
@@ -150,6 +154,33 @@ stage_lint() {
             exit 1
         fi
     done
+    # Out-of-range sizes are named errors, not exceptions from deep
+    # inside a run.
+    echo "== stage lint: flag validation =="
+    for o in 100 0; do
+        lint_bad_flag --object-size run -w stream-sum -s trackfm -o "$o"
+        lint_bad_flag --object-size report -w stream-sum -s trackfm -o "$o"
+        lint_bad_flag --object-size report critical-path -w stream-sum -o "$o"
+        lint_bad_flag --object-size report slo -w stream-sum -o "$o" \
+            --slo 'sum:p99<=1m'
+        lint_bad_flag --object-size sweep -w stream-sum -o "$o"
+    done
+    lint_bad_flag --replicas run -w stream-sum -s fastswap --replicas 9
+    lint_bad_flag --replicas serve -b trackfm --replicas 9
+}
+
+# $1 is the flag a bad value was passed to; the rest is the CLI command
+# line. The run must exit 1 with a message naming the flag.
+lint_bad_flag() {
+    flag=$1
+    shift
+    if "$CLI" "$@" >/dev/null 2>_ci/lint-flag.err; then rc=0; else rc=$?; fi
+    if [ "$rc" -ne 1 ] || ! grep -q -- "$flag" _ci/lint-flag.err \
+        || grep -q "uncaught exception" _ci/lint-flag.err; then
+        echo "lint: '$*' must exit 1 naming $flag (exit $rc):" >&2
+        cat _ci/lint-flag.err >&2
+        exit 1
+    fi
 }
 
 stage_test() {
@@ -324,6 +355,38 @@ stage_tracing() {
             fi
         done
     done
+    # The report views over the hashmap export written above: each must
+    # exit 0 and print the same bytes on two runs.
+    attr=_ci/tracing/hashmap-seed1-attr.json
+    for i in 1 2; do
+        if ! "$CLI" report critical-path --from "$attr" \
+            >"_ci/tracing/critical-path.txt.$i"; then
+            echo "tracing: report critical-path --from $attr failed" >&2
+            fail=1
+        fi
+        if ! "$CLI" report slo --from "$attr" --slo 'lookup:p99<=250k' \
+            >"_ci/tracing/slo.txt.$i"; then
+            echo "tracing: report slo --from $attr failed" >&2
+            fail=1
+        fi
+    done
+    for v in critical-path slo; do
+        if ! cmp -s "_ci/tracing/$v.txt.1" "_ci/tracing/$v.txt.2"; then
+            echo "tracing: NONDETERMINISTIC report $v output" >&2
+            fail=1
+        fi
+    done
+    # The telemetry sink's per-site totals must equal the tfm.* clock
+    # counters: every attribution cross-check line of report reads OK.
+    rep=_ci/tracing/report-hashmap.txt
+    "$CLI" report -w hashmap -s trackfm >"$rep"
+    xcheck=$(sed -n '/attribution cross-check/,/^$/p' "$rep" | grep 'tfm\.' || true)
+    if [ "$(printf '%s\n' "$xcheck" | grep -c ' OK$')" -lt 4 ] \
+        || printf '%s\n' "$xcheck" | grep -qv ' OK$'; then
+        echo "tracing: report attribution cross-check is not OK on every line:" >&2
+        printf '%s\n' "$xcheck" >&2
+        fail=1
+    fi
     # A fault-preset run with the recorder armed must dump, and the dump
     # must be identical under the same fault seed.
     for seed in $TRACE_SEEDS; do

@@ -1,4 +1,4 @@
-(* Dataflow-driven redundant-guard elimination and loop-invariant guard
+(* Data-flow-driven redundant-guard elimination and loop-invariant guard
    hoisting — the first optimization the guard-coverage checker licenses
    (paper Sections 3.1/3.3: the compiler analyses are what make guarded
    far memory cheap; a guard dominated by an equivalent guard with no

@@ -23,14 +23,6 @@ type size_class = {
   miss_prefetcher : Prefetcher.t;
 }
 
-type guard_event = {
-  ptr : int;
-  object_id : int;
-  size_class : int;
-  path : [ `Custody_skip | `Fast | `Slow_local | `Slow_remote | `Paged ];
-  write : bool;
-}
-
 (* Handles on the clock counters the guard and chunk paths bump per
    event, resolved once at [create]. *)
 type counters = {
@@ -43,7 +35,6 @@ type counters = {
   chunk_inits : Clock.counter;
   boundary_checks : Clock.counter;
   locality_guards : Clock.counter;
-  net_fetches : Clock.counter;
   net_bytes_in : Clock.counter;
   net_bytes_out : Clock.counter;
 }
@@ -59,8 +50,6 @@ type t = {
   prefetch_depth : int;
   meta_cache : int array;
   chunks : (int, chunk_state) Hashtbl.t;
-  mutable debug : bool;
-  debug_ring : guard_event Queue.t;
   mutable telemetry : Telemetry.Sink.t;
   (* Hybrid data plane: accesses the route pass moved to the page path
      swap against this Fastswap-style pager instead of taking a guard.
@@ -145,7 +134,6 @@ let create ?(backend = Net.Tcp) ?(use_state_table = true) ?(prefetch = true)
         chunk_inits = handle "tfm.chunk_inits";
         boundary_checks = handle "tfm.boundary_checks";
         locality_guards = handle "tfm.locality_guards";
-        net_fetches = handle "net.fetches";
         net_bytes_in = handle "net.bytes_in";
         net_bytes_out = handle "net.bytes_out";
       };
@@ -156,27 +144,12 @@ let create ?(backend = Net.Tcp) ?(use_state_table = true) ?(prefetch = true)
     prefetch_depth = 8;
     meta_cache = Array.make meta_cache_slots (-1);
     chunks = Hashtbl.create 16;
-    debug = false;
-    debug_ring = Queue.create ();
     telemetry;
     faults;
     cluster;
     local_budget;
     swap = None;
   }
-
-let debug_ring_capacity = 4096
-
-let set_debug t on = t.debug <- on
-
-let debug_events t = List.of_seq (Queue.to_seq t.debug_ring)
-
-(* Callers test [t.debug] first, so the event record is only built when
-   the ring is on. *)
-let log_event t ev =
-  if Queue.length t.debug_ring >= debug_ring_capacity then
-    ignore (Queue.pop t.debug_ring);
-  Queue.push ev t.debug_ring
 
 let telemetry t = t.telemetry
 
@@ -290,25 +263,26 @@ let localize_for_access (c : size_class) id ~write =
   Pool.ensure_local c.pool id;
   if write then Pool.mark_dirty c.pool id
 
-let guard t ~ptr ~size ~write =
+(* The custody check on an untracked pointer (stack, globals): the one
+   skip path [guard], [page_access] and [chunk_access] share. *)
+let[@inline] custody_skip t ~write =
   let tel = t.telemetry in
-  let active = Telemetry.Sink.is_active tel in
-  let c0 = Clock.cycles t.clock in
-  let bin0 = if active then Clock.value t.ctr.net_bytes_in else 0 in
-  let bout0 = if active then Clock.value t.ctr.net_bytes_out else 0 in
-  if not (Nc_ptr.is_tracked ptr) then begin
-    Telemetry.Sink.cat_enter tel Telemetry.Span.Guard_fast;
-    Clock.tick t.clock t.cost.Cost_model.custody_check;
-    Clock.bump t.ctr.custody_skips 1;
-    Telemetry.Sink.cat_exit tel;
-    if t.debug then
-      log_event t
-        { ptr; object_id = -1; size_class = -1; path = `Custody_skip; write };
-    if active then
-      Telemetry.Sink.guard_event tel ~path:`Custody ~write
-        ~cycles:(Clock.cycles t.clock - c0) ~bytes_in:0 ~bytes_out:0
-  end
+  Telemetry.Sink.cat_enter tel Telemetry.Span.Guard_fast;
+  Clock.tick t.clock t.cost.Cost_model.custody_check;
+  Clock.bump t.ctr.custody_skips 1;
+  Telemetry.Sink.cat_exit tel;
+  if Telemetry.Sink.is_active tel then
+    Telemetry.Sink.guard_event tel ~path:`Custody ~write
+      ~cycles:t.cost.Cost_model.custody_check ~bytes_in:0 ~bytes_out:0
+
+let guard t ~ptr ~size ~write =
+  if not (Nc_ptr.is_tracked ptr) then custody_skip t ~write
   else begin
+    let tel = t.telemetry in
+    let active = Telemetry.Sink.is_active tel in
+    let c0 = Clock.cycles t.clock in
+    let bin0 = if active then Clock.value t.ctr.net_bytes_in else 0 in
+    let bout0 = if active then Clock.value t.ctr.net_bytes_out else 0 in
     (* The guard opens as a fast-path frame and reclassifies once the
        miss is known, so metadata-lookup cycles land with the outcome
        they led to. *)
@@ -321,10 +295,7 @@ let guard t ~ptr ~size ~write =
       Clock.tick t.clock
         (if write then t.cost.Cost_model.fast_guard_write
          else t.cost.Cost_model.fast_guard_read);
-      Clock.bump t.ctr.fast_guards 1;
-      if t.debug then
-        log_event t
-          { ptr; object_id = id; size_class = cls_idx; path = `Fast; write }
+      Clock.bump t.ctr.fast_guards 1
     end
     else begin
       Telemetry.Sink.cat_reclass tel Telemetry.Span.Guard_slow;
@@ -334,35 +305,9 @@ let guard t ~ptr ~size ~write =
       Clock.bump t.ctr.slow_guards 1;
       (* The AIFM backend's runtime stride prefetcher watches the miss
          stream and runs ahead of regular strided access patterns. *)
-      if t.prefetch then Prefetcher.access c.miss_prefetcher id;
-      if t.debug then
-        log_event t
-          {
-            ptr;
-            object_id = id;
-            size_class = cls_idx;
-            path = `Slow_local;
-            write;
-          }
+      if t.prefetch then Prefetcher.access c.miss_prefetcher id
     end;
-    let fetches_before = Clock.value t.ctr.net_fetches in
     localize_for_access c id ~write;
-    (if t.debug && Clock.value t.ctr.net_fetches > fetches_before then
-       (* upgrade the last event: the slow path went remote *)
-       match
-         List.rev (List.of_seq (Queue.to_seq t.debug_ring))
-       with
-       | last :: _ when last.path = `Slow_local ->
-           (* replace tail event *)
-           let all = List.of_seq (Queue.to_seq t.debug_ring) in
-           Queue.clear t.debug_ring;
-           List.iteri
-             (fun i ev ->
-               if i = List.length all - 1 then
-                 Queue.push { ev with path = `Slow_remote } t.debug_ring
-               else Queue.push ev t.debug_ring)
-             all
-       | _ -> ());
     (* An access that straddles an object boundary needs both halves. *)
     let id_last = object_id c (ptr + size - 1) in
     if id_last <> id then localize_for_access c id_last ~write;
@@ -390,25 +335,14 @@ let swap_of t =
       s
 
 let page_access t ~ptr ~size ~write =
-  let tel = t.telemetry in
-  let active = Telemetry.Sink.is_active tel in
-  let c0 = Clock.cycles t.clock in
-  if not (Nc_ptr.is_tracked ptr) then begin
-    (* Same custody filter as [guard]: page calls inherit guards' safety
-       on untracked pointers (stack, globals), which is what lets the
-       route pass move Mixed/Unknown sites under profile evidence. *)
-    Telemetry.Sink.cat_enter tel Telemetry.Span.Guard_fast;
-    Clock.tick t.clock t.cost.Cost_model.custody_check;
-    Clock.bump t.ctr.custody_skips 1;
-    Telemetry.Sink.cat_exit tel;
-    if t.debug then
-      log_event t
-        { ptr; object_id = -1; size_class = -1; path = `Custody_skip; write };
-    if active then
-      Telemetry.Sink.guard_event tel ~path:`Custody ~write
-        ~cycles:(Clock.cycles t.clock - c0) ~bytes_in:0 ~bytes_out:0
-  end
+  (* Same custody filter as [guard]: page calls inherit guards' safety
+     on untracked pointers (stack, globals), which is what lets the
+     route pass move Mixed/Unknown sites under profile evidence. *)
+  if not (Nc_ptr.is_tracked ptr) then custody_skip t ~write
   else begin
+    let tel = t.telemetry in
+    let active = Telemetry.Sink.is_active tel in
+    let c0 = Clock.cycles t.clock in
     let bin0 = if active then Clock.value t.ctr.net_bytes_in else 0 in
     let bout0 = if active then Clock.value t.ctr.net_bytes_out else 0 in
     (* The custody check still runs — the compiled test is the same
@@ -416,9 +350,6 @@ let page_access t ~ptr ~size ~write =
     Clock.tick t.clock t.cost.Cost_model.custody_check;
     Clock.bump t.ctr.page_accesses 1;
     Fastswap.Swap.access (swap_of t) ~addr:ptr ~size ~write;
-    if t.debug then
-      log_event t
-        { ptr; object_id = -1; size_class = -1; path = `Paged; write };
     if active then
       Telemetry.Sink.guard_event tel ~path:`Paged ~write
         ~cycles:(Clock.cycles t.clock - c0)
@@ -463,15 +394,7 @@ let issue_prefetch t (c : size_class) id stride_objects =
     done
 
 let chunk_access t ~handle ~ptr ~size ~write =
-  if not (Nc_ptr.is_tracked ptr) then begin
-    Telemetry.Sink.cat_enter t.telemetry Telemetry.Span.Guard_fast;
-    Clock.tick t.clock t.cost.Cost_model.custody_check;
-    Clock.bump t.ctr.custody_skips 1;
-    Telemetry.Sink.cat_exit t.telemetry;
-    if Telemetry.Sink.is_active t.telemetry then
-      Telemetry.Sink.guard_event t.telemetry ~path:`Custody ~write
-        ~cycles:t.cost.Cost_model.custody_check ~bytes_in:0 ~bytes_out:0
-  end
+  if not (Nc_ptr.is_tracked ptr) then custody_skip t ~write
   else begin
     let s = chunk_state t handle in
     let cls_idx, c = cls_of_ptr t ptr in

@@ -271,53 +271,6 @@ let test_cpu_work_intrinsic () =
   Alcotest.(check bool) "charged" true (r.Interp.cycles >= 12345)
 
 
-let test_tracer_records_and_replays () =
-  let n = 2_000 in
-  let m = Workloads.Stream.build ~n ~kernel:Workloads.Stream.Sum () in
-  let trace = Tracer.create () in
-  let clock = Clock.create () in
-  let backend =
-    Tracer.recording trace
-      (Backend.local Cost_model.default clock (Memstore.create ()))
-  in
-  let r = Interp.run backend m ~entry:"main" in
-  Alcotest.(check int) "result unchanged under recording"
-    (Workloads.Stream.checksum ~n ~kernel:Workloads.Stream.Sum ())
-    r.Interp.ret;
-  (* init writes n elements, sum reads n elements, plus the malloc-free
-     program structure: at least 2n accesses *)
-  Alcotest.(check bool) "captured accesses" true (Tracer.length trace >= 2 * n);
-  Alcotest.(check bool) "reads and writes present" true
-    (Tracer.reads trace >= n && Tracer.writes trace >= n);
-  Alcotest.(check bool) "footprint ~ working set" true
-    (Tracer.footprint_bytes trace >= n * 4);
-  (* Replaying the trace against Fastswap must produce the same faults as
-     running the program on Fastswap directly. *)
-  let direct_clock = Clock.create () in
-  let direct =
-    Backend.fastswap Cost_model.default direct_clock (Memstore.create ())
-      ~local_budget:(n * 2)
-  in
-  ignore (Interp.run direct (Workloads.Stream.build ~n ~kernel:Workloads.Stream.Sum ()) ~entry:"main");
-  let replay_clock = Clock.create () in
-  let replay_backend =
-    Backend.fastswap Cost_model.default replay_clock (Memstore.create ())
-      ~local_budget:(n * 2)
-  in
-  Tracer.replay trace replay_backend;
-  Alcotest.(check int) "replay reproduces major faults"
-    (Clock.get direct_clock "fastswap.major_faults")
-    (Clock.get replay_clock "fastswap.major_faults")
-
-let test_tracer_get_bounds () =
-  let trace = Tracer.create () in
-  Alcotest.(check bool) "empty get rejected" true
-    (try
-       ignore (Tracer.get trace 0);
-       false
-     with Invalid_argument _ -> true)
-
-
 let test_trackfm_backend_requires_init () =
   (* A transformed program whose runtime-initialization hook was somehow
      dropped must fail loudly, like a real binary without runtime setup. *)
@@ -376,9 +329,6 @@ let suite =
         test_trackfm_backend_rejects_raw_malloc;
       Alcotest.test_case "bench_begin resets" `Quick test_bench_begin_resets;
       Alcotest.test_case "cpu_work" `Quick test_cpu_work_intrinsic;
-      Alcotest.test_case "tracer record/replay" `Quick
-        test_tracer_records_and_replays;
-      Alcotest.test_case "tracer bounds" `Quick test_tracer_get_bounds;
       Alcotest.test_case "backend requires init" `Quick
         test_trackfm_backend_requires_init;
       Alcotest.test_case "recursion depth limit" `Quick

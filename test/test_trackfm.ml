@@ -443,24 +443,48 @@ let test_reverse_scan_chunks_and_prefetches_backward () =
 
 
 let test_guard_debug_instrumentation () =
-  (* Section 3.3's optional debug instrumentation: record which path each
-     guard took, including whether the slow path went remote. *)
-  let rt, _, _ = make_rt ~local_budget:4096 () in
-  R.set_debug rt true;
+  (* Section 3.3's optional debug instrumentation — which path each guard
+     took, and whether the slow path went remote — read from the telemetry
+     sink's per-site stats, one site per call. *)
+  let rt, clock, _ = make_rt ~local_budget:4096 () in
+  let sink = Telemetry.Sink.recording ~trace:false ~series_interval:0 clock in
+  R.set_telemetry rt sink;
+  let at i = Telemetry.Sink.set_site sink ~func:"t" ~instr:i in
+  let guard i ptr ~write =
+    at i;
+    R.guard rt ~ptr ~size:8 ~write
+  in
+  let untracked = 1 lsl 30 in
   let p = R.tfm_malloc rt 64 in
-  R.guard rt ~ptr:p ~size:8 ~write:true;        (* slow, local materialize *)
-  R.guard rt ~ptr:p ~size:8 ~write:false;       (* fast *)
-  R.guard rt ~ptr:(1 lsl 30) ~size:8 ~write:false; (* custody skip *)
+  guard 1 p ~write:true; (* slow, local materialize *)
+  guard 2 p ~write:false; (* fast *)
+  guard 3 untracked ~write:false; (* custody skip *)
   (* evict p by touching another object, then re-touch: slow + remote *)
   let q = R.tfm_malloc rt 8192 in
-  R.guard rt ~ptr:(q + 4096) ~size:8 ~write:false;
-  R.guard rt ~ptr:p ~size:8 ~write:false;
-  let paths = List.map (fun (e : R.guard_event) -> e.path) (R.debug_events rt) in
-  Alcotest.(check int) "five events" 5 (List.length paths);
-  Alcotest.(check bool) "expected path sequence" true
-    (match paths with
-    | [ `Slow_local; `Fast; `Custody_skip; _; `Slow_remote ] -> true
-    | _ -> false)
+  guard 4 (q + 4096) ~write:false;
+  guard 5 p ~write:false;
+  at 6;
+  R.page_access rt ~ptr:untracked ~size:8 ~write:false;
+  at 7;
+  R.chunk_access rt ~handle:1 ~ptr:untracked ~size:8 ~write:true;
+  let sites =
+    match Telemetry.Sink.recorder sink with
+    | Some r -> r.Telemetry.Sink.sites
+    | None -> Alcotest.fail "recording sink has no recorder"
+  in
+  let path i =
+    let s = Telemetry.Site.stat sites { Telemetry.Site.func = "t"; instr = i } in
+    match (s.fast, s.slow, s.custody, s.locality, s.paged) with
+    | 1, 0, 0, 0, 0 -> "fast"
+    | 0, 1, 0, 0, 0 -> if s.bytes_in > 0 then "slow-remote" else "slow-local"
+    | 0, 0, 1, 0, 0 -> "custody"
+    | _ -> "other"
+  in
+  Alcotest.(check (list string)) "per-site path sequence"
+    [ "slow-local"; "fast"; "custody"; "slow-remote"; "custody"; "custody" ]
+    (List.map path [ 1; 2; 3; 5; 6; 7 ]);
+  Alcotest.(check int) "custody skips counted" 3
+    (Clock.get clock "tfm.custody_skips")
 
 let test_pipeline_dump_after () =
   let m = program_with_malloc_loop () in
