@@ -61,16 +61,6 @@ let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let quick = List.mem "--quick" args in
   let bechamel = List.mem "--bechamel" args in
-  (* --metrics-dir DIR: also write each experiment's tables as JSON. *)
-  let rec extract_metrics_dir = function
-    | "--metrics-dir" :: dir :: rest ->
-        let rest, found = extract_metrics_dir rest in
-        (rest, Some dir :: found)
-    | a :: rest ->
-        let rest, found = extract_metrics_dir rest in
-        (a :: rest, found)
-    | [] -> ([], [])
-  in
   (* --faults SPEC / --fault-seed N: fault injection for every far-memory
      run (see Faults.parse for the SPEC grammar). *)
   let rec extract_opt name = function
@@ -91,31 +81,33 @@ let () =
           Printf.eprintf "bad --faults spec: %s\n" e;
           exit 1)
   | [] -> ());
-  let args, fault_seeds = extract_opt "--fault-seed" args in
-  (match List.filter_map Fun.id fault_seeds with
-  | s :: _ -> (
-      match int_of_string_opt s with
-      | Some n -> Bench_common.fault_seed := n
-      | None ->
-          Printf.eprintf "bad --fault-seed %s (integer expected)\n" s;
-          exit 1)
-  | [] -> ());
-  (* --replicas N / --ack K: replicated remote tier for every far-memory
-     run (1/1 = the single-server model, bit for bit). *)
   let int_opt name cell args =
     let args, vals = extract_opt name args in
     (match List.filter_map Fun.id vals with
     | s :: _ -> (
         match int_of_string_opt s with
-        | Some n when n >= 1 -> cell := n
-        | _ ->
-            Printf.eprintf "bad %s %s (positive integer expected)\n" name s;
+        | Some n -> cell := n
+        | None ->
+            Printf.eprintf "bad %s %s (integer expected)\n" name s;
             exit 1)
     | [] -> ());
     args
   in
+  let args = int_opt "--fault-seed" Bench_common.fault_seed args in
+  (* --replicas N / --ack K: replicated remote tier for every far-memory
+     run (1/1 = the single-server model, bit for bit). *)
   let args = int_opt "--replicas" Bench_common.replicas args in
   let args = int_opt "--ack" Bench_common.ack args in
+  let check flag v r =
+    Result.iter_error
+      (fun e ->
+        Printf.eprintf "bad %s %d: %s\n" flag v e;
+        exit 1)
+      r
+  in
+  let replicas = !Bench_common.replicas and ack = !Bench_common.ack in
+  check "--replicas" replicas (Cluster.check_replicas replicas);
+  check "--ack" ack (Cluster.check_ack ~replicas ack);
   (* --engine interp|compiled: execution engine for every run. *)
   let args, engines = extract_opt "--engine" args in
   (match List.filter_map Fun.id engines with
@@ -126,18 +118,14 @@ let () =
           Printf.eprintf "unknown engine %s (interp|compiled)\n" name;
           exit 1)
   | [] -> ());
-  if !Bench_common.ack > !Bench_common.replicas then begin
-    Printf.eprintf "--ack %d exceeds --replicas %d\n" !Bench_common.ack
-      !Bench_common.replicas;
-    exit 1
-  end;
   let rec mkdir_p d =
     if not (Sys.file_exists d) then begin
       mkdir_p (Filename.dirname d);
       Sys.mkdir d 0o755
     end
   in
-  let args, dirs = extract_metrics_dir args in
+  (* --metrics-dir DIR: also write each experiment's tables as JSON. *)
+  let args, dirs = extract_opt "--metrics-dir" args in
   (match List.filter_map Fun.id dirs with
   | dir :: _ ->
       mkdir_p dir;

@@ -8,127 +8,7 @@
 
 open Workloads
 open Cmdliner
-
-type workload = {
-  wname : string;
-  describe : string;
-  build : unit -> Ir.modul;
-  blobs : (int * Bytes.t) list;
-  working_set : int;
-  expected : int;
-  op_classes : (int * string) list;
-      (* span operation classes the program marks with !op_begin/!op_end *)
-}
-
-let workloads () =
-  let stream kernel =
-    let n = 200_000 in
-    {
-      wname = "stream-" ^ Stream.kernel_name kernel;
-      describe = "STREAM " ^ Stream.kernel_name kernel ^ " kernel";
-      build = (fun () -> Stream.build ~n ~kernel ());
-      blobs = [];
-      working_set = Stream.working_set_bytes ~n ~kernel ();
-      expected = Stream.checksum ~n ~kernel ();
-      op_classes = [];
-    }
-  in
-  let kme =
-    let p = Kmeans.default_params ~n:15_000 in
-    {
-      wname = "kmeans";
-      describe = "k-means clustering (dimension-major)";
-      build = (fun () -> Kmeans.build p ());
-      blobs = [];
-      working_set = Kmeans.working_set_bytes p;
-      expected = Kmeans.checksum p;
-      op_classes = Kmeans.op_classes;
-    }
-  in
-  let hm =
-    let p = Hashmap.default_params ~keys:80_000 ~lookups:100_000 in
-    {
-      wname = "hashmap";
-      describe = "Zipfian hashmap lookups";
-      build = (fun () -> Hashmap.build p ());
-      blobs = [ (0, Hashmap.trace_blob p) ];
-      working_set = Hashmap.working_set_bytes p;
-      expected = Hashmap.checksum p;
-      op_classes = Hashmap.op_classes;
-    }
-  in
-  let mc =
-    let p = Memcached.default_params ~keys:80_000 ~gets:50_000 ~skew:1.1 in
-    {
-      wname = "memcached";
-      describe = "memcached-style KV store, Zipf 1.1";
-      build = (fun () -> Memcached.build p ());
-      blobs = [ (0, Memcached.trace_blob p) ];
-      working_set = Memcached.working_set_bytes p;
-      expected = Memcached.checksum p;
-      op_classes = Memcached.op_classes;
-    }
-  in
-  let an =
-    let p = Analytics.default_params ~rows:150_000 in
-    {
-      wname = "analytics";
-      describe = "NYC-taxi-style dataframe queries";
-      build = (fun () -> Analytics.build p ());
-      blobs = [];
-      working_set = Analytics.working_set_bytes p;
-      expected = Analytics.checksum p;
-      op_classes = [];
-    }
-  in
-  let chase =
-    let nodes = 60_000 in
-    {
-      wname = "pointer-chase";
-      describe = "permuted linked-list traversal";
-      build = (fun () -> Chase.build ~nodes ());
-      blobs = [];
-      working_set = Chase.working_set_bytes ~nodes;
-      expected = Chase.checksum ~nodes;
-      op_classes = [];
-    }
-  in
-  let ll =
-    let nodes = 40_000 and tnodes = 16_000 in
-    {
-      wname = "llist";
-      describe = "helper-hidden list+tree traversal (shape analysis)";
-      build = (fun () -> Llist.build ~nodes ~tnodes ());
-      blobs = [];
-      working_set = Llist.working_set_bytes ~nodes ~tnodes;
-      expected = Llist.checksum ~nodes ~tnodes;
-      op_classes = [];
-    }
-  in
-  let nas kernel =
-    let p = { Nas.kernel; scale = 1 } in
-    {
-      wname = "nas-" ^ Nas.kernel_name kernel;
-      describe =
-        "NAS " ^ String.uppercase_ascii (Nas.kernel_name kernel) ^ " kernel";
-      build = (fun () -> Nas.build p ());
-      blobs = [];
-      working_set = Nas.working_set_bytes p;
-      expected = Nas.checksum p;
-      op_classes = [];
-    }
-  in
-  List.map stream [ Stream.Sum; Stream.Copy; Stream.Scale; Stream.Triad ]
-  @ [ kme; hm; mc; an; chase; ll ]
-  @ List.map nas Nas.all_kernels
-
-let find_workload name =
-  match List.find_opt (fun w -> w.wname = name) (workloads ()) with
-  | Some w -> Ok w
-  | None ->
-      Error
-        (Printf.sprintf "unknown workload %s; try: %s" name
-           (String.concat ", " (List.map (fun w -> w.wname) (workloads ()))))
+open Run_config
 
 let print_outcome w (o : Driver.outcome) =
   Printf.printf "checksum: %d (%s)\n" o.Driver.ret
@@ -142,93 +22,6 @@ let print_outcome w (o : Driver.outcome) =
     Printf.printf "counters:\n";
     List.iter (fun (k, v) -> Printf.printf "  %-28s %d\n" k v) counters
   end
-
-let chunk_mode_of = function "off" -> `Off | "all" -> `All | _ -> `Gated
-
-let route_of = function
-  | "off" -> Ok `Off
-  | "static" -> Ok `Static
-  | "profiled" -> Ok `Profiled
-  | s -> Error (Printf.sprintf "unknown route mode %s (off|static|profiled)" s)
-
-let build_of w o1 =
-  if o1 then fun () ->
-    let m = w.build () in
-    ignore (Tfm_opt.O1.run m);
-    m
-  else w.build
-
-(* One workload execution under a named system, returning the outcome and
-   (for trackfm) the compile report. The telemetry factory is applied to
-   the run's fresh clock inside the driver. [faults] is the injector for
-   this run (fresh per run: its random stream is stateful). *)
-let exec_system ?(engine = Engine.Interp) ?(route = `Off)
-    ?(route_hotspots = []) ?(shapes = true) ?shadow w system ~budget
-    ~object_size ~chunk_mode ~prefetch ~summaries ~faults ~replicas ~ack
-    ~telemetry build =
-  match system with
-  | "local" ->
-      Ok (Driver.run_local ~engine ~blobs:w.blobs ~telemetry build, None)
-  | "fastswap" ->
-      Ok
-        ( Driver.run_fastswap ~engine ~blobs:w.blobs ~faults ~replicas ~ack
-            ~telemetry ~local_budget:budget build,
-          None )
-  | "trackfm" ->
-      let opts =
-        {
-          (Driver.tfm_defaults ~local_budget:budget) with
-          Driver.object_size;
-          chunk_mode;
-          prefetch;
-          use_summaries = summaries;
-          use_shapes = shapes;
-          route;
-          route_hotspots;
-          faults;
-          replicas;
-          ack;
-        }
-      in
-      let o, report =
-        Driver.run_trackfm ~engine ~blobs:w.blobs ~telemetry ?shadow build
-          opts
-      in
-      Ok (o, Some report)
-  | other ->
-      Error (Printf.sprintf "unknown system %s (local|trackfm|fastswap)" other)
-
-(* Profiled routing's evidence: a fault-free pre-run with routing off and
-   a recording sink; every hotspot whose slow-path guards outnumber its
-   fast-path hits is handed to the route pass as upgrade evidence. The
-   pre-run uses the same deterministic build, so (function, call id) keys
-   line up with the profiled run's guards. *)
-let profiled_hotspots ~engine w ~budget ~object_size ~chunk_mode ~prefetch
-    ~summaries build =
-  let sink = ref Telemetry.Sink.nop in
-  let telemetry clock =
-    let s =
-      Telemetry.Sink.recording ~trace:false ~series_interval:0 clock
-    in
-    sink := s;
-    s
-  in
-  match
-    exec_system ~engine w "trackfm" ~budget ~object_size ~chunk_mode ~prefetch
-      ~summaries ~faults:Faults.disabled ~replicas:1 ~ack:1 ~telemetry build
-  with
-  | Error _ | (exception _) -> []
-  | Ok _ -> (
-      match Telemetry.Sink.recorder !sink with
-      | None -> []
-      | Some r ->
-          List.filter_map
-            (fun ((k : Telemetry.Site.key), (s : Telemetry.Site.stat)) ->
-              if k.Telemetry.Site.instr >= 0 && s.Telemetry.Site.slow > s.Telemetry.Site.fast
-              then Some (k.Telemetry.Site.func, k.Telemetry.Site.instr)
-              else None)
-            (Telemetry.Site.rows r.Telemetry.Sink.sites)
-          |> List.sort compare)
 
 let print_compile_report = function
   | None -> ()
@@ -254,74 +47,6 @@ let print_compile_report = function
           r.Trackfm.Route_pass.routed r.Trackfm.Route_pass.upgraded
           r.Trackfm.Route_pass.kept_pinned r.Trackfm.Route_pass.kept_covered;
       print_newline ()
-
-(* -- fault plumbing -- *)
-
-(* A deterministic record of one run: inputs (workload, system, fault
-   spec, seed) and outputs (checksum, cycles, instrs, every clock
-   counter, sorted by name). The CI fault matrix diffs this file against
-   checked-in goldens — any nondeterminism or counter drift shows up as a
-   byte difference. *)
-let write_counters_json file ~workload ~system ~fault_cfg ~fault_seed ~replicas
-    ~ack (o : Driver.outcome) =
-  let open Telemetry.Json in
-  let counters =
-    List.sort
-      (fun (a, _) (b, _) -> compare (a : string) b)
-      (Clock.counters o.Driver.clock)
-  in
-  let j =
-    Obj
-      [
-        ("workload", String workload);
-        ("system", String system);
-        ("faults", String (Faults.to_string fault_cfg));
-        ("fault_seed", Int fault_seed);
-        ("replicas", Int replicas);
-        ("ack", Int ack);
-        ("checksum", Int o.Driver.ret);
-        ("cycles", Int o.Driver.cycles);
-        ("instrs", Int o.Driver.instrs);
-        ("counters", Obj (List.map (fun (k, v) -> (k, Int v)) counters));
-      ]
-  in
-  let oc = open_out file in
-  to_channel oc j;
-  output_char oc '\n';
-  close_out oc
-
-(* -- telemetry plumbing -- *)
-
-(* The drivers create their clocks internally, so the sink is captured
-   from inside the factory for post-run reporting. [flight] arms the
-   flight recorder at sink creation so triggers fired mid-run (the first
-   retry, a breaker opening, a node crash) dump immediately. *)
-let capture_sink ~want_trace ~sample_interval ?(spans = false)
-    ?(op_classes = []) ?flight () =
-  let sink = ref Telemetry.Sink.nop in
-  let factory clock =
-    let s =
-      Telemetry.Sink.recording ~trace:want_trace
-        ~series_interval:sample_interval ~spans ~op_classes clock
-    in
-    Option.iter
-      (fun (path, meta) -> Telemetry.Sink.set_flight_recorder s ~path ~meta)
-      flight;
-    sink := s;
-    s
-  in
-  (sink, factory)
-
-(* Run identity carried into attribution and flight-recorder files, so a
-   dump names the configuration that produced it. *)
-let run_meta ~workload ~system ~fault_cfg ~fault_seed =
-  let open Telemetry.Json in
-  [
-    ("workload", String workload);
-    ("system", String system);
-    ("faults", String (Faults.to_string fault_cfg));
-    ("fault_seed", Int fault_seed);
-  ]
 
 let write_trace_file file (r : Telemetry.Sink.recorder) =
   match r.Telemetry.Sink.trace with
@@ -383,173 +108,140 @@ let assert_span_invariant sink =
         1
       end
 
+let report_flight_dump sink =
+  Option.iter
+    (fun p -> Printf.printf "flight recorder: dumped to %s\n" p)
+    (Telemetry.Sink.flight_dumped sink)
+
+(* Write [j] and a newline to [file]; an unwritable path is a one-line
+   error naming [what], exit 1. [note] is printed once the file is
+   written. *)
+let write_json ~what ?(note = "") file j =
+  match
+    Out_channel.with_open_text file (fun oc ->
+        Telemetry.Json.to_channel oc j;
+        output_char oc '\n')
+  with
+  | () ->
+      print_string note;
+      0
+  | exception Sys_error msg ->
+      Printf.eprintf "cannot write %s: %s\n" what msg;
+      1
+
+(* A deterministic record of one run: inputs (workload, system, fault
+   spec, seed, replication) and outputs (checksum, cycles, instrs, every
+   clock counter, sorted by name). The CI fault matrix diffs this file
+   against checked-in goldens — any nondeterminism or counter drift shows
+   up as a byte difference. *)
+let write_counters_json file c (o : Driver.outcome) =
+  let open Telemetry.Json in
+  let counters =
+    List.sort
+      (fun (a, _) (b, _) -> compare (a : string) b)
+      (Clock.counters o.Driver.clock)
+  in
+  write_json ~what:"counters JSON" file
+    (Obj
+       (meta c
+       @ [
+           ("replicas", Int c.tfm.Driver.replicas);
+           ("ack", Int c.tfm.Driver.ack);
+           ("checksum", Int o.Driver.ret);
+           ("cycles", Int o.Driver.cycles);
+           ("instrs", Int o.Driver.instrs);
+           ("counters", Obj (List.map (fun (k, v) -> (k, Int v)) counters));
+         ]))
+
 let export_attribution sink file ~meta =
   match file with
   | None -> 0
   | Some f -> (
       match Telemetry.Sink.attribution_json sink ~meta with
       | None -> 0
-      | Some j -> (
-          try
-            let oc = open_out f in
-            Telemetry.Json.to_channel oc j;
-            output_char oc '\n';
-            close_out oc;
-            Printf.printf "attribution: %s (%d epochs)\n" f
-              (Telemetry.Sink.epoch_count sink);
-            0
-          with Sys_error msg ->
-            Printf.eprintf "cannot write attribution JSON: %s\n" msg;
-            1))
+      | Some j ->
+          write_json ~what:"attribution JSON" f j
+            ~note:
+              (Printf.sprintf "attribution: %s (%d epochs)\n" f
+                 (Telemetry.Sink.epoch_count sink)))
 
 (* The guard-coverage checker raises before the run's sink exists (the
    pipeline runs at compile time), so an armed flight recorder gets a
    minimal dump written here instead of via a sink trigger. *)
 let write_minimal_flight file ~meta ~reason ~details =
   let open Telemetry.Json in
-  let j =
-    Obj
-      (meta
-      @ [
-          ("kind", String "trackfm-flight-recorder");
-          ("version", Int 1);
-          ("reason", String reason);
-          ("at", Int 0);
-          ("details", List (List.map (fun s -> String s) details));
-          ("spans", List []);
-          ("events", List []);
-        ])
+  ignore
+    (write_json ~what:"flight-recorder dump" file
+       ~note:(Printf.sprintf "flight recorder: dumped to %s (%s)\n" file reason)
+       (Obj
+          (meta
+          @ [
+              ("kind", String "trackfm-flight-recorder");
+              ("version", Int 1);
+              ("reason", String reason);
+              ("at", Int 0);
+              ("details", List (List.map (fun s -> String s) details));
+              ("spans", List []);
+              ("events", List []);
+            ])))
+
+let run_cmd cfg counters_json trace_file metrics_file sample_interval
+    attribution_file flight_file =
+  with_config cfg @@ fun c ->
+  let w = c.workload and tfm = c.tfm in
+  Printf.printf
+    "workload %s (%s), working set %s, local budget %s (%d%%), system %s\n"
+    w.wname w.describe
+    (Tfm_util.Units.bytes_to_string w.working_set)
+    (Tfm_util.Units.bytes_to_string tfm.Driver.local_budget)
+    c.local_pct (system_name c.system);
+  if tfm.Driver.route <> `Off then
+    Printf.printf "hybrid routing %s\n"
+      (Trackfm.Route_pass.mode_to_string tfm.Driver.route);
+  if c.fault_cfg <> Faults.off then
+    Printf.printf "faults %s, seed %d\n" (Faults.to_string c.fault_cfg)
+      c.fault_seed;
+  if tfm.Driver.replicas > 1 then
+    Printf.printf "replicas %d, ack %d\n" tfm.Driver.replicas tfm.Driver.ack;
+  if c.engine <> Engine.Interp then
+    Printf.printf "engine %s\n" (Engine.to_string c.engine);
+  print_newline ();
+  let want_spans = attribution_file <> None || flight_file <> None in
+  let meta = meta c in
+  let sink, telemetry =
+    if trace_file = None && metrics_file = None && not want_spans then
+      (ref Telemetry.Sink.nop, Driver.no_telemetry)
+    else
+      capture_sink ~want_trace:(trace_file <> None) ~sample_interval
+        ~spans:want_spans ~op_classes:w.op_classes
+        ?flight:(Option.map (fun f -> (f, meta)) flight_file)
+        ()
   in
-  try
-    let oc = open_out file in
-    to_channel oc j;
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "flight recorder: dumped to %s (%s)\n" file reason
-  with Sys_error msg ->
-    Printf.eprintf "cannot write flight-recorder dump: %s\n" msg
-
-let report_flight_dump sink =
-  Option.iter
-    (fun p -> Printf.printf "flight recorder: dumped to %s\n" p)
-    (Telemetry.Sink.flight_dumped sink)
-
-(* [--engine] parsing shared by every executing subcommand: unknown
-   names are a clean one-line error, not an exception. *)
-let with_engine engine_name k =
-  match Engine.of_string engine_name with
-  | Some engine -> k engine
-  | None ->
-      Printf.eprintf "unknown engine %s (interp|compiled)\n" engine_name;
+  match execute ~telemetry c with
+  | exception Tfm_checker.Coverage.Unsound errs ->
+      Printf.eprintf "checker: UNSOUND transform (%d violation(s)):\n"
+        (List.length errs);
+      List.iter (fun e -> Printf.eprintf "  %s\n" e) errs;
+      Option.iter
+        (fun f ->
+          write_minimal_flight f ~meta ~reason:"checker-unsound" ~details:errs)
+        flight_file;
       1
-
-(* [--object-size] and [--replicas] checked once, before any work: a bad
-   value is a one-line error naming the flag, not an uncaught exception
-   from Pool.create or Cluster.create deep inside the run. *)
-let with_sizes ?object_size ?replicas k =
-  let bad flag v need =
-    Printf.eprintf "bad %s %d: %s\n" flag v need;
-    1
-  in
-  match (object_size, replicas) with
-  | Some o, _ when o < 16 || o > 65536 || o land (o - 1) <> 0 ->
-      bad "--object-size" o "must be a power of two in 16..65536"
-  | _, Some r when r < 1 || r > 8 -> bad "--replicas" r "must be in 1..8"
-  | _ -> k ()
-
-let run_cmd workload_name system engine_name local_pct object_size chunk
-    route_name prefetch summaries shapes o1 fault_spec fault_seed replicas ack
-    counters_json trace_file metrics_file sample_interval attribution_file
-    flight_file =
-  with_engine engine_name @@ fun engine ->
-  with_sizes ~object_size ~replicas @@ fun () ->
-  match
-    (find_workload workload_name, Faults.parse fault_spec, route_of route_name)
-  with
-  | Error e, _, _ | _, Error e, _ | _, _, Error e ->
-      prerr_endline e;
-      1
-  | Ok w, Ok fault_cfg, Ok route when ack >= 1 && ack <= replicas -> (
-      let faults = Faults.create ~seed:fault_seed fault_cfg in
-      let budget = max (16 * object_size) (w.working_set * local_pct / 100) in
-      Printf.printf
-        "workload %s (%s), working set %s, local budget %s (%d%%), system %s\n"
-        w.wname w.describe
-        (Tfm_util.Units.bytes_to_string w.working_set)
-        (Tfm_util.Units.bytes_to_string budget)
-        local_pct system;
-      if route <> `Off then
-        Printf.printf "hybrid routing %s\n"
-          (Trackfm.Route_pass.mode_to_string route);
-      if Faults.enabled faults then
-        Printf.printf "faults %s, seed %d\n" (Faults.to_string fault_cfg)
-          fault_seed;
-      if replicas > 1 then
-        Printf.printf "replicas %d, ack %d\n" replicas ack;
-      if engine <> Engine.Interp then
-        Printf.printf "engine %s\n" (Engine.to_string engine);
-      print_newline ();
-      let want_spans = attribution_file <> None || flight_file <> None in
-      let meta = run_meta ~workload:w.wname ~system ~fault_cfg ~fault_seed in
-      let sink, telemetry =
-        if trace_file = None && metrics_file = None && not want_spans then
-          (ref Telemetry.Sink.nop, Driver.no_telemetry)
-        else
-          capture_sink ~want_trace:(trace_file <> None) ~sample_interval
-            ~spans:want_spans ~op_classes:w.op_classes
-            ?flight:(Option.map (fun f -> (f, meta)) flight_file)
-            ()
-      in
-      let route_hotspots =
-        if route = `Profiled && system = "trackfm" then
-          profiled_hotspots ~engine w ~budget ~object_size
-            ~chunk_mode:(chunk_mode_of chunk) ~prefetch ~summaries
-            (build_of w o1)
-        else []
-      in
+  | o, report -> (
+      print_compile_report report;
+      print_outcome w o;
       match
-        exec_system ~engine ~route ~route_hotspots ~shapes w system ~budget
-          ~object_size ~chunk_mode:(chunk_mode_of chunk) ~prefetch ~summaries
-          ~faults ~replicas ~ack ~telemetry (build_of w o1)
+        Option.fold ~none:0
+          ~some:(fun f -> write_counters_json f c o)
+          counters_json
       with
-      | exception Tfm_checker.Coverage.Unsound errs ->
-          Printf.eprintf "checker: UNSOUND transform (%d violation(s)):\n"
-            (List.length errs);
-          List.iter (fun e -> Printf.eprintf "  %s\n" e) errs;
-          Option.iter
-            (fun f ->
-              write_minimal_flight f ~meta ~reason:"checker-unsound"
-                ~details:errs)
-            flight_file;
-          1
-      | Error e ->
-          prerr_endline e;
-          1
-      | Ok (o, report) -> (
-          print_compile_report report;
-          print_outcome w o;
-          match
-            Option.iter
-              (fun f ->
-                write_counters_json f ~workload:w.wname ~system ~fault_cfg
-                  ~fault_seed ~replicas ~ack o)
-              counters_json
-          with
-          | () ->
-              let rc_tel = export_telemetry !sink trace_file metrics_file in
-              let rc_attr = export_attribution !sink attribution_file ~meta in
-              let rc_inv =
-                if want_spans then assert_span_invariant !sink else 0
-              in
-              report_flight_dump !sink;
-              max rc_tel (max rc_attr rc_inv)
-          | exception Sys_error msg ->
-              Printf.eprintf "cannot write counters JSON: %s\n" msg;
-              1))
-  | Ok _, Ok _, Ok _ ->
-      Printf.eprintf "bad replication: need 1 <= ack (%d) <= replicas (%d)\n"
-        ack replicas;
-      1
+      | 0 ->
+          let rc_tel = export_telemetry !sink trace_file metrics_file in
+          let rc_attr = export_attribution !sink attribution_file ~meta in
+          let rc_inv = if want_spans then assert_span_invariant !sink else 0 in
+          report_flight_dump !sink;
+          max rc_tel (max rc_attr rc_inv)
+      | rc -> rc)
 
 (* -- report: run with a recording sink, print the hotspot table -- *)
 
@@ -664,67 +356,38 @@ let print_sparklines (r : Telemetry.Sink.recorder) =
           names
       end
 
-let report_cmd workload_name system engine_name local_pct object_size chunk
-    route_name prefetch summaries o1 fault_spec fault_seed trace_file
-    metrics_file sample_interval =
-  with_engine engine_name @@ fun engine ->
-  with_sizes ~object_size @@ fun () ->
-  match
-    (find_workload workload_name, Faults.parse fault_spec, route_of route_name)
-  with
-  | Error e, _, _ | _, Error e, _ | _, _, Error e ->
-      prerr_endline e;
-      1
-  | Ok w, Ok fault_cfg, Ok route -> (
-      let faults = Faults.create ~seed:fault_seed fault_cfg in
-      let budget = max (16 * object_size) (w.working_set * local_pct / 100) in
-      Printf.printf "telemetry report: %s under %s, local budget %s (%d%%)%s%s\n\n"
-        w.wname system
-        (Tfm_util.Units.bytes_to_string budget)
-        local_pct
-        (if Faults.enabled faults then
-           Printf.sprintf ", faults %s seed %d" (Faults.to_string fault_cfg)
-             fault_seed
-         else "")
-        (if route <> `Off then
-           ", routing " ^ Trackfm.Route_pass.mode_to_string route
-         else "");
-      let route_hotspots =
-        if route = `Profiled && system = "trackfm" then
-          profiled_hotspots ~engine w ~budget ~object_size
-            ~chunk_mode:(chunk_mode_of chunk) ~prefetch ~summaries
-            (build_of w o1)
-        else []
-      in
-      let sink, telemetry =
-        capture_sink ~want_trace:(trace_file <> None) ~sample_interval ()
-      in
-      match
-        exec_system ~engine ~route ~route_hotspots w system ~budget
-          ~object_size ~chunk_mode:(chunk_mode_of chunk) ~prefetch ~summaries
-          ~faults ~replicas:1 ~ack:1 ~telemetry (build_of w o1)
-      with
-      | Error e ->
-          prerr_endline e;
-          1
-      | Ok (o, report) ->
-          Telemetry.Sink.final_sample !sink;
-          print_compile_report report;
-          print_outcome w o;
-          print_newline ();
-          (match Telemetry.Sink.recorder !sink with
-          | None -> () (* unreachable: capture_sink always records *)
-          | Some r ->
-              print_hotspots
-                ?routing:
-                  (Option.map
-                     (fun rep -> rep.Trackfm.Pipeline.routing)
-                     report)
-                o r;
-              print_newline ();
-              print_histograms r;
-              print_sparklines r);
-          export_telemetry !sink trace_file metrics_file)
+let report_cmd cfg trace_file metrics_file sample_interval =
+  with_config cfg @@ fun c ->
+  let w = c.workload and tfm = c.tfm in
+  Printf.printf "telemetry report: %s under %s, local budget %s (%d%%)%s%s\n\n"
+    w.wname (system_name c.system)
+    (Tfm_util.Units.bytes_to_string tfm.Driver.local_budget)
+    c.local_pct
+    (if c.fault_cfg <> Faults.off then
+       Printf.sprintf ", faults %s seed %d" (Faults.to_string c.fault_cfg)
+         c.fault_seed
+     else "")
+    (if tfm.Driver.route <> `Off then
+       ", routing " ^ Trackfm.Route_pass.mode_to_string tfm.Driver.route
+     else "");
+  let sink, telemetry =
+    capture_sink ~want_trace:(trace_file <> None) ~sample_interval ()
+  in
+  let o, report = execute ~telemetry c in
+  Telemetry.Sink.final_sample !sink;
+  print_compile_report report;
+  print_outcome w o;
+  print_newline ();
+  (match Telemetry.Sink.recorder !sink with
+  | None -> () (* unreachable: capture_sink always records *)
+  | Some r ->
+      print_hotspots
+        ?routing:(Option.map (fun rep -> rep.Trackfm.Pipeline.routing) report)
+        o r;
+      print_newline ();
+      print_histograms r;
+      print_sparklines r);
+  export_telemetry !sink trace_file metrics_file
 
 (* -- report critical-path / report slo: span-attribution views -- *)
 
@@ -934,24 +597,26 @@ let load_attribution path =
                     --attribution?)"
                    path)))
 
-(* Shared live-run plumbing for the span-based report views. *)
-let with_live_spans w ~system ~engine ~local_pct ~object_size ~chunk ~prefetch
-    ~summaries ~o1 ~fault_cfg ~fault_seed k =
-  let faults = Faults.create ~seed:fault_seed fault_cfg in
-  let budget = max (16 * object_size) (w.working_set * local_pct / 100) in
-  let sink, telemetry =
-    capture_sink ~want_trace:false ~sample_interval:250_000 ~spans:true
-      ~op_classes:w.op_classes ()
-  in
-  match
-    exec_system ~engine w system ~budget ~object_size
-      ~chunk_mode:(chunk_mode_of chunk) ~prefetch ~summaries ~faults
-      ~replicas:1 ~ack:1 ~telemetry (build_of w o1)
-  with
-  | Error e ->
-      prerr_endline e;
-      1
-  | Ok (o, _report) -> (
+(* The rows both span views print come either from an attribution file
+   read back with --from or from a live span-traced run of the
+   configuration; [header] is printed before a live run. *)
+let span_view ~usage ~header cfg from_file k =
+  match (cfg, from_file) with
+  | Ok _, Some path -> (
+      match load_attribution path with
+      | Error e ->
+          prerr_endline e;
+          1
+      | Ok j -> k ~title:path (cp_of_json j))
+  | _ -> (
+      with_config ~usage cfg @@ fun c ->
+      let w = c.workload in
+      header c;
+      let sink, telemetry =
+        capture_sink ~want_trace:false ~sample_interval:250_000 ~spans:true
+          ~op_classes:w.op_classes ()
+      in
+      let o, _ = execute ~telemetry c in
       Telemetry.Sink.final_sample !sink;
       if o.Driver.ret <> w.expected then
         Printf.eprintf "warning: checksum %d does not match expected %d\n"
@@ -960,42 +625,18 @@ let with_live_spans w ~system ~engine ~local_pct ~object_size ~chunk ~prefetch
       | None ->
           prerr_endline "internal error: span tracker missing";
           1
-      | Some sp -> k sp)
+      | Some sp ->
+          k ~title:(w.wname ^ " under " ^ system_name c.system) (cp_of_span sp))
 
-let critical_path_cmd workload_opt system engine_name local_pct object_size
-    chunk prefetch summaries o1 fault_spec fault_seed from_file =
-  with_engine engine_name @@ fun engine ->
-  with_sizes ~object_size @@ fun () ->
-  match from_file with
-  | Some path -> (
-      match load_attribution path with
-      | Error e ->
-          prerr_endline e;
-          1
-      | Ok j ->
-          let rows, background, violations, note = cp_of_json j in
-          print_critical_path ~title:path rows ~background ~violations ~note)
-  | None -> (
-      match workload_opt with
-      | None ->
-          prerr_endline
-            "report critical-path: pass -w WORKLOAD (live run) or --from FILE";
-          1
-      | Some name -> (
-          match (find_workload name, Faults.parse fault_spec) with
-          | Error e, _ | _, Error e ->
-              prerr_endline e;
-              1
-          | Ok w, Ok fault_cfg ->
-              Printf.printf
-                "critical-path report: %s under %s, faults %s, seed %d\n\n"
-                w.wname system (Faults.to_string fault_cfg) fault_seed;
-              with_live_spans w ~system ~engine ~local_pct ~object_size ~chunk
-                ~prefetch ~summaries ~o1 ~fault_cfg ~fault_seed (fun sp ->
-                  let rows, background, violations, note = cp_of_span sp in
-                  print_critical_path
-                    ~title:(w.wname ^ " under " ^ system)
-                    rows ~background ~violations ~note)))
+let critical_path_cmd cfg from_file =
+  span_view cfg from_file
+    ~usage:"report critical-path: pass -w WORKLOAD (live run) or --from FILE"
+    ~header:(fun c ->
+      Printf.printf "critical-path report: %s under %s, faults %s, seed %d\n\n"
+        c.workload.wname (system_name c.system)
+        (Faults.to_string c.fault_cfg) c.fault_seed)
+    (fun ~title (rows, background, violations, note) ->
+      print_critical_path ~title rows ~background ~violations ~note)
 
 let print_slo_outcomes outcomes =
   let open Telemetry in
@@ -1056,55 +697,28 @@ let load_slo_rules slo_spec slo_file =
           | Ok rules -> Ok (file, rules)
           | Error e -> Error (Printf.sprintf "bad SLO file %s: %s" file e)))
 
-let slo_cmd workload_opt system engine_name local_pct object_size chunk
-    prefetch summaries o1 fault_spec fault_seed from_file slo_spec slo_file =
-  with_engine engine_name @@ fun engine ->
-  with_sizes ~object_size @@ fun () ->
+let slo_cmd cfg from_file slo_spec slo_file =
   match load_slo_rules slo_spec slo_file with
   | Error e ->
       prerr_endline e;
       1
-  | Ok (spec_name, rules) -> (
-      let evaluate rows violations note =
-        let rc_slo =
-          print_slo_outcomes
-            (Telemetry.Slo.evaluate rules
-               ~lookup:(fun ~cls metric -> lookup_rows rows ~cls ~metric))
-        in
-        if violations = 0 then rc_slo
-        else begin
-          Printf.printf "INVARIANT VIOLATED (%d): %s\n" violations note;
-          1
-        end
-      in
-      match from_file with
-      | Some path -> (
-          match load_attribution path with
-          | Error e ->
-              prerr_endline e;
-              1
-          | Ok j ->
-              let rows, _, violations, note = cp_of_json j in
-              evaluate rows violations note)
-      | None -> (
-          match workload_opt with
-          | None ->
-              prerr_endline
-                "report slo: pass -w WORKLOAD (live run) or --from FILE";
-              1
-          | Some name -> (
-              match (find_workload name, Faults.parse fault_spec) with
-              | Error e, _ | _, Error e ->
-                  prerr_endline e;
-                  1
-              | Ok w, Ok fault_cfg ->
-                  Printf.printf "SLO report: %s under %s, spec %s\n\n" w.wname
-                    system spec_name;
-                  with_live_spans w ~system ~engine ~local_pct ~object_size
-                    ~chunk ~prefetch ~summaries ~o1 ~fault_cfg ~fault_seed
-                    (fun sp ->
-                      let rows, _, violations, note = cp_of_span sp in
-                      evaluate rows violations note))))
+  | Ok (spec_name, rules) ->
+      span_view cfg from_file
+        ~usage:"report slo: pass -w WORKLOAD (live run) or --from FILE"
+        ~header:(fun c ->
+          Printf.printf "SLO report: %s under %s, spec %s\n\n" c.workload.wname
+            (system_name c.system) spec_name)
+        (fun ~title:_ (rows, _, violations, note) ->
+          let rc_slo =
+            print_slo_outcomes
+              (Telemetry.Slo.evaluate rules
+                 ~lookup:(fun ~cls metric -> lookup_rows rows ~cls ~metric))
+          in
+          if violations = 0 then rc_slo
+          else begin
+            Printf.printf "INVARIANT VIOLATED (%d): %s\n" violations note;
+            1
+          end)
 
 (* -- serve: the overload-robust multi-tenant serving scenario -- *)
 
@@ -1174,16 +788,19 @@ let serve_cmd backend_name rate requests tenants keys skew value_size budget
     connections service_cycles readahead queue_cap deadline no_admission
     no_shedding no_degradation open_loop fault_spec fault_seed replicas ack
     seed serving_json attribution_file flight_file =
-  with_sizes ~replicas @@ fun () ->
-  match (Serving.backend_of_string backend_name, Faults.parse fault_spec) with
-  | None, _ ->
+  match
+    ( Serving.backend_of_string backend_name,
+      parse_faults fault_spec,
+      check_replication ~replicas ~ack )
+  with
+  | None, _, _ ->
       Printf.eprintf "unknown backend %s (trackfm|fastswap|aifm)\n"
         backend_name;
       1
-  | _, Error e ->
+  | _, Error e, _ | _, _, Error e ->
       prerr_endline e;
       1
-  | Some backend, Ok fault_cfg -> (
+  | Some backend, Ok fault_cfg, Ok () -> (
       let controls =
         if open_loop then Serving.open_loop
         else
@@ -1224,27 +841,21 @@ let serve_cmd backend_name rate requests tenants keys skew value_size budget
       | exception Invalid_argument msg ->
           prerr_endline msg;
           1
-      | r -> (
+      | r ->
           print_serving_result r;
           let rc_attr = export_attribution r.Serving.sink attribution_file ~meta in
           let rc_inv =
             if want_spans then assert_span_invariant r.Serving.sink else 0
           in
           report_flight_dump r.Serving.sink;
-          match
-            Option.iter
-              (fun f ->
-                let oc = open_out f in
-                Telemetry.Json.to_channel oc (Serving.result_json r);
-                output_char oc '\n';
-                close_out oc;
-                Printf.printf "serving JSON: %s\n" f)
+          let rc_json =
+            Option.fold ~none:0
+              ~some:(fun f ->
+                write_json ~what:"serving JSON" f (Serving.result_json r)
+                  ~note:(Printf.sprintf "serving JSON: %s\n" f))
               serving_json
-          with
-          | () -> max rc_attr rc_inv
-          | exception Sys_error msg ->
-              Printf.eprintf "cannot write serving JSON: %s\n" msg;
-              1))
+          in
+          max rc_json (max rc_attr rc_inv))
 
 (* -- validate: JSON schema check (CI validates exported traces) -- *)
 
@@ -1277,70 +888,65 @@ let validate_cmd schema_file input_file =
           1)
 
 let sweep_cmd workload_name object_size =
-  with_sizes ~object_size @@ fun () ->
-  match find_workload workload_name with
-  | Error e ->
-      prerr_endline e;
-      1
-  | Ok w ->
-      Printf.printf "sweeping %s (working set %s), object size %dB\n\n"
-        w.wname
-        (Tfm_util.Units.bytes_to_string w.working_set)
-        object_size;
-      let t =
-        Tfm_util.Table.create
-          ~title:"slowdown vs all-local, by local memory"
-          ~columns:[ "local mem %"; "TrackFM"; "Fastswap" ]
+  with_ok
+    (check_int "--object-size" object_size
+       (Aifm.Pool.check_object_size object_size))
+  @@ fun () ->
+  with_ok (find_workload workload_name) @@ fun w ->
+  Printf.printf "sweeping %s (working set %s), object size %dB\n\n"
+    w.wname
+    (Tfm_util.Units.bytes_to_string w.working_set)
+    object_size;
+  let t =
+    Tfm_util.Table.create
+      ~title:"slowdown vs all-local, by local memory"
+      ~columns:[ "local mem %"; "TrackFM"; "Fastswap" ]
+  in
+  let lo = Driver.run_local ~blobs:w.blobs w.build in
+  let tfm_pts = ref [] and fs_pts = ref [] in
+  List.iter
+    (fun pct ->
+      let budget = max (16 * 4096) (w.working_set * pct / 100) in
+      let opts =
+        { (Driver.tfm_defaults ~local_budget:budget) with Driver.object_size }
       in
-      let lo = Driver.run_local ~blobs:w.blobs w.build in
-      let tfm_pts = ref [] and fs_pts = ref [] in
-      List.iter
-        (fun pct ->
-          let budget = max (16 * 4096) (w.working_set * pct / 100) in
-          let opts =
-            { (Driver.tfm_defaults ~local_budget:budget) with Driver.object_size }
-          in
-          let tfm, _ = Driver.run_trackfm ~blobs:w.blobs w.build opts in
-          let fs =
-            Driver.run_fastswap ~blobs:w.blobs ~local_budget:budget w.build
-          in
-          assert (tfm.Driver.ret = w.expected && fs.Driver.ret = w.expected);
-          let sl c = float_of_int c /. float_of_int lo.Driver.cycles in
-          tfm_pts := (float_of_int pct, sl tfm.Driver.cycles) :: !tfm_pts;
-          fs_pts := (float_of_int pct, sl fs.Driver.cycles) :: !fs_pts;
-          Tfm_util.Table.add_rowf t "%d | %.2f | %.2f" pct
-            (sl tfm.Driver.cycles) (sl fs.Driver.cycles))
-        [ 10; 25; 50; 75; 100 ];
-      Tfm_util.Table.print t;
-      Tfm_util.Ascii_plot.print ~x_label:"local mem %"
-        ~title:(w.wname ^ ": slowdown vs all-local")
-        [
-          { Tfm_util.Ascii_plot.label = "TrackFM"; points = !tfm_pts };
-          { label = "Fastswap"; points = !fs_pts };
-        ];
-      0
+      let tfm, _ = Driver.run_trackfm ~blobs:w.blobs w.build opts in
+      let fs =
+        Driver.run_fastswap ~blobs:w.blobs ~local_budget:budget w.build
+      in
+      assert (tfm.Driver.ret = w.expected && fs.Driver.ret = w.expected);
+      let sl c = float_of_int c /. float_of_int lo.Driver.cycles in
+      tfm_pts := (float_of_int pct, sl tfm.Driver.cycles) :: !tfm_pts;
+      fs_pts := (float_of_int pct, sl fs.Driver.cycles) :: !fs_pts;
+      Tfm_util.Table.add_rowf t "%d | %.2f | %.2f" pct
+        (sl tfm.Driver.cycles) (sl fs.Driver.cycles))
+    [ 10; 25; 50; 75; 100 ];
+  Tfm_util.Table.print t;
+  Tfm_util.Ascii_plot.print ~x_label:"local mem %"
+    ~title:(w.wname ^ ": slowdown vs all-local")
+    [
+      { Tfm_util.Ascii_plot.label = "TrackFM"; points = !tfm_pts };
+      { label = "Fastswap"; points = !fs_pts };
+    ];
+  0
 
 let autotune_cmd workload_name local_pct =
-  match find_workload workload_name with
-  | Error e ->
-      prerr_endline e;
-      1
-  | Ok w ->
-      let budget = max 65536 (w.working_set * local_pct / 100) in
-      Printf.printf
-        "autotuning object size for %s at %d%% local memory (Section 3.2's \
-         exhaustive recompile-and-run search)\n\n"
-        w.wname local_pct;
-      let best, results =
-        Driver.autotune_object_size ~blobs:w.blobs w.build ~local_budget:budget
-      in
-      List.iter
-        (fun (osz, cycles) ->
-          Printf.printf "  %5dB -> %s%s\n" osz
-            (Tfm_util.Units.cycles_to_string cycles)
-            (if osz = best then "   <- chosen" else ""))
-        results;
-      0
+  with_ok (find_workload workload_name) @@ fun w ->
+  let budget = max 65536 (w.working_set * local_pct / 100) in
+  Printf.printf
+    "autotuning object size for %s at %d%% local memory (Section 3.2's \
+     exhaustive recompile-and-run search)\n\n"
+    w.wname local_pct;
+  let best, results =
+    Driver.autotune_object_size ~blobs:w.blobs w.build ~local_budget:budget
+  in
+  List.iter
+    (fun (osz, cycles) ->
+      Printf.printf "  %5dB -> %s%s\n" osz
+        (Tfm_util.Units.cycles_to_string cycles)
+        (if osz = best then "   <- chosen" else ""))
+    results;
+  0
 
 (* Static-analysis lint: compile every workload under each chunk mode,
    with and without the guard optimizer, and run the guard-coverage
@@ -1348,7 +954,7 @@ let autotune_cmd workload_name local_pct =
    Compile-only (no execution, no profile run), so this is fast enough
    for a CI lint stage. Exits non-zero on any violation. *)
 let check_cmd workload_filter engine_name =
-  with_engine engine_name @@ fun engine ->
+  with_ok (parse_engine engine_name) @@ fun engine ->
   let selected =
     List.filter
       (fun w ->
@@ -1375,17 +981,12 @@ let check_cmd workload_filter engine_name =
                         let m = w.build () in
                         let config =
                           {
-                            Trackfm.Pipeline.object_size = 4096;
+                            Trackfm.Pipeline.default_config with
                             chunk_mode;
-                            profile = None;
-                            cost = Cost_model.default;
                             elide;
                             summaries;
-                            shapes = true;
                             route;
-                            route_hotspots = [];
                             check = false (* we report instead of raising *);
-                            dump_after = None;
                           }
                         in
                         let report = Trackfm.Pipeline.run config m in
@@ -1481,28 +1082,24 @@ let check_cmd workload_filter engine_name =
    bottom. With --ir, also dump the IR with call sites annotated by
    their callee's summary. Deterministic output: CI diffs two runs. *)
 let summaries_cmd workload_name o1 show_ir =
-  match find_workload workload_name with
-  | Error e ->
-      prerr_endline e;
-      1
-  | Ok w ->
-      let m = (build_of w o1) () in
-      let env = Tfm_analysis.Summary.compute m in
-      print_string (Tfm_analysis.Summary.to_string m env);
-      (match Tfm_analysis.Summary.lint m env with
-      | [] -> print_endline "summary-coverage: all functions summarized"
-      | stuck ->
-          Printf.printf "summary-coverage: %d function(s) at bottom\n"
-            (List.length stuck);
-          List.iter (fun line -> Printf.printf "  %s\n" line) stuck);
-      if show_ir then begin
-        print_newline ();
-        print_string
-          (Printer.module_to_string_annotated
-             (Tfm_analysis.Summary.annotate env)
-             m)
-      end;
-      0
+  with_ok (find_workload workload_name) @@ fun w ->
+  let m = (build_of w o1) () in
+  let env = Tfm_analysis.Summary.compute m in
+  print_string (Tfm_analysis.Summary.to_string m env);
+  (match Tfm_analysis.Summary.lint m env with
+  | [] -> print_endline "summary-coverage: all functions summarized"
+  | stuck ->
+      Printf.printf "summary-coverage: %d function(s) at bottom\n"
+        (List.length stuck);
+      List.iter (fun line -> Printf.printf "  %s\n" line) stuck);
+  if show_ir then begin
+    print_newline ();
+    print_string
+      (Printer.module_to_string_annotated
+         (Tfm_analysis.Summary.annotate env)
+         m)
+  end;
+  0
 
 (* Static access-pattern classification dump: the evidence the hybrid
    route pass acts on, printed per function in deterministic order
@@ -1510,120 +1107,116 @@ let summaries_cmd workload_name o1 show_ir =
    decisions a static-mode compile makes on the transformed module. CI
    byte-compares two runs of this output. *)
 let classify_cmd workload_name o1 json =
-  match find_workload workload_name with
-  | Error e ->
-      prerr_endline e;
-      1
-  | Ok w ->
-      let m = (build_of w o1) () in
-      let env = Tfm_analysis.Summary.compute m in
-      let shapes = Tfm_analysis.Shape.analyze m in
-      let per_fun =
-        List.map
-          (fun f ->
-            ( f.Ir.fname,
-              Tfm_analysis.Access_pattern.analyze ~summaries:env ~shapes f ))
-          m.Ir.funcs
-      in
-      let config =
-        {
-          Trackfm.Pipeline.default_config with
-          Trackfm.Pipeline.route = `Static;
-        }
-      in
-      let report = Trackfm.Pipeline.run config ((build_of w o1) ()) in
-      let r = report.Trackfm.Pipeline.routing in
-      if json then begin
-        (* Machine-readable variant: field order is fixed by
-           construction, so two runs are byte-identical and CI can both
-           diff and schema-validate the output. *)
-        let open Telemetry.Json in
-        let site_json (s : Tfm_analysis.Access_pattern.site) =
-          Obj
-            [
-              ("instr", Int s.Tfm_analysis.Access_pattern.instr_id);
-              ("block", String s.Tfm_analysis.Access_pattern.block);
-              ( "kind",
-                String
-                  (if s.Tfm_analysis.Access_pattern.is_store then "store"
-                   else "load") );
-              ("size", Int s.Tfm_analysis.Access_pattern.size);
-              ( "class",
-                String
-                  (Tfm_analysis.Access_pattern.cls_to_string
-                     s.Tfm_analysis.Access_pattern.cls) );
-              ( "stride",
-                match s.Tfm_analysis.Access_pattern.stride with
-                | Some v -> Int v
-                | None -> Null );
-              ("chain_depth", Int s.Tfm_analysis.Access_pattern.chain_depth);
-              ( "shape",
-                match s.Tfm_analysis.Access_pattern.shape with
-                | Some k -> String k
-                | None -> Null );
-              ("density", Float s.Tfm_analysis.Access_pattern.density);
-              ("rationale", String s.Tfm_analysis.Access_pattern.rationale);
-            ]
-        in
-        let j =
-          Obj
-            [
-              ("workload", String w.wname);
-              ( "functions",
-                List
-                  (List.map
-                     (fun (fname, t) ->
-                       Obj
-                         [
-                           ("name", String fname);
-                           ( "sites",
-                             List
-                               (List.map site_json
-                                  (Tfm_analysis.Access_pattern.sites t)) );
-                         ])
-                     per_fun) );
-              ( "routing",
-                Obj
-                  [
-                    ("routed", Int r.Trackfm.Route_pass.routed);
-                    ("kept_pinned", Int r.Trackfm.Route_pass.kept_pinned);
-                    ("kept_covered", Int r.Trackfm.Route_pass.kept_covered);
-                    ("upgraded", Int r.Trackfm.Route_pass.upgraded);
-                    ( "routes",
-                      List
-                        (List.map
-                           (fun (fname, (rt : Tfm_checker.Coverage.routing)) ->
-                             Obj
-                               [
-                                 ("func", String fname);
-                                 ( "access",
-                                   Int rt.Tfm_checker.Coverage.routed_access );
-                                 ("page_call", Int rt.Tfm_checker.Coverage.page_call);
-                                 ("class", String rt.Tfm_checker.Coverage.cls);
-                               ])
-                           r.Trackfm.Route_pass.routes) );
-                  ] );
-            ]
-        in
-        print_endline (to_string j)
-      end
-      else begin
-        List.iter
-          (fun (_, t) -> print_string (Tfm_analysis.Access_pattern.dump t))
-          per_fun;
-        print_newline ();
-        Printf.printf
-          "hybrid routing (static): %d routed, %d kept pinned, %d kept covered\n"
-          r.Trackfm.Route_pass.routed r.Trackfm.Route_pass.kept_pinned
-          r.Trackfm.Route_pass.kept_covered;
-        List.iter
-          (fun (fname, (rt : Tfm_checker.Coverage.routing)) ->
-            Printf.printf "  %s: %%%d -> page call %%%d [%s]\n" fname
-              rt.Tfm_checker.Coverage.routed_access
-              rt.Tfm_checker.Coverage.page_call rt.Tfm_checker.Coverage.cls)
-          r.Trackfm.Route_pass.routes
-      end;
-      0
+  with_ok (find_workload workload_name) @@ fun w ->
+  let m = (build_of w o1) () in
+  let env = Tfm_analysis.Summary.compute m in
+  let shapes = Tfm_analysis.Shape.analyze m in
+  let per_fun =
+    List.map
+      (fun f ->
+        ( f.Ir.fname,
+          Tfm_analysis.Access_pattern.analyze ~summaries:env ~shapes f ))
+      m.Ir.funcs
+  in
+  let config =
+    {
+      Trackfm.Pipeline.default_config with
+      Trackfm.Pipeline.route = `Static;
+    }
+  in
+  let report = Trackfm.Pipeline.run config ((build_of w o1) ()) in
+  let r = report.Trackfm.Pipeline.routing in
+  if json then begin
+    (* Machine-readable variant: field order is fixed by
+       construction, so two runs are byte-identical and CI can both
+       diff and schema-validate the output. *)
+    let open Telemetry.Json in
+    let site_json (s : Tfm_analysis.Access_pattern.site) =
+      Obj
+        [
+          ("instr", Int s.Tfm_analysis.Access_pattern.instr_id);
+          ("block", String s.Tfm_analysis.Access_pattern.block);
+          ( "kind",
+            String
+              (if s.Tfm_analysis.Access_pattern.is_store then "store"
+               else "load") );
+          ("size", Int s.Tfm_analysis.Access_pattern.size);
+          ( "class",
+            String
+              (Tfm_analysis.Access_pattern.cls_to_string
+                 s.Tfm_analysis.Access_pattern.cls) );
+          ( "stride",
+            match s.Tfm_analysis.Access_pattern.stride with
+            | Some v -> Int v
+            | None -> Null );
+          ("chain_depth", Int s.Tfm_analysis.Access_pattern.chain_depth);
+          ( "shape",
+            match s.Tfm_analysis.Access_pattern.shape with
+            | Some k -> String k
+            | None -> Null );
+          ("density", Float s.Tfm_analysis.Access_pattern.density);
+          ("rationale", String s.Tfm_analysis.Access_pattern.rationale);
+        ]
+    in
+    let j =
+      Obj
+        [
+          ("workload", String w.wname);
+          ( "functions",
+            List
+              (List.map
+                 (fun (fname, t) ->
+                   Obj
+                     [
+                       ("name", String fname);
+                       ( "sites",
+                         List
+                           (List.map site_json
+                              (Tfm_analysis.Access_pattern.sites t)) );
+                     ])
+                 per_fun) );
+          ( "routing",
+            Obj
+              [
+                ("routed", Int r.Trackfm.Route_pass.routed);
+                ("kept_pinned", Int r.Trackfm.Route_pass.kept_pinned);
+                ("kept_covered", Int r.Trackfm.Route_pass.kept_covered);
+                ("upgraded", Int r.Trackfm.Route_pass.upgraded);
+                ( "routes",
+                  List
+                    (List.map
+                       (fun (fname, (rt : Tfm_checker.Coverage.routing)) ->
+                         Obj
+                           [
+                             ("func", String fname);
+                             ( "access",
+                               Int rt.Tfm_checker.Coverage.routed_access );
+                             ("page_call", Int rt.Tfm_checker.Coverage.page_call);
+                             ("class", String rt.Tfm_checker.Coverage.cls);
+                           ])
+                       r.Trackfm.Route_pass.routes) );
+              ] );
+        ]
+    in
+    print_endline (to_string j)
+  end
+  else begin
+    List.iter
+      (fun (_, t) -> print_string (Tfm_analysis.Access_pattern.dump t))
+      per_fun;
+    print_newline ();
+    Printf.printf
+      "hybrid routing (static): %d routed, %d kept pinned, %d kept covered\n"
+      r.Trackfm.Route_pass.routed r.Trackfm.Route_pass.kept_pinned
+      r.Trackfm.Route_pass.kept_covered;
+    List.iter
+      (fun (fname, (rt : Tfm_checker.Coverage.routing)) ->
+        Printf.printf "  %s: %%%d -> page call %%%d [%s]\n" fname
+          rt.Tfm_checker.Coverage.routed_access
+          rt.Tfm_checker.Coverage.page_call rt.Tfm_checker.Coverage.cls)
+      r.Trackfm.Route_pass.routes
+  end;
+  0
 
 (* Shape-analysis dump (deterministic: CI byte-compares two runs), and
    — with [--shadow] — the dynamic audit: execute the statically routed
@@ -1633,77 +1226,73 @@ let classify_cmd workload_name o1 json =
    a MISMATCH even though the structural checker (which never consults
    shape facts) accepts the module. *)
 let shape_cmd workload_name o1 shadow_mode local_pct =
-  match find_workload workload_name with
-  | Error e ->
-      prerr_endline e;
+  with_ok (find_workload workload_name) @@ fun w ->
+  let m = (build_of w o1) () in
+  print_string (Tfm_analysis.Shape.dump (Tfm_analysis.Shape.analyze m) m);
+  if not shadow_mode then 0
+  else begin
+    let sh = Shadow.create () in
+    let budget = max (16 * 4096) (w.working_set * local_pct / 100) in
+    let opts =
+      {
+        (Driver.tfm_defaults ~local_budget:budget) with
+        Driver.route = `Static;
+      }
+    in
+    let o, report =
+      Driver.run_trackfm ~blobs:w.blobs ~shadow:sh (build_of w o1) opts
+    in
+    print_newline ();
+    print_string (Shadow.dump sh);
+    let classes =
+      report.Trackfm.Pipeline.routing.Trackfm.Route_pass.classes
+    in
+    let checked = ref 0 and confirmed = ref 0 and unchecked = ref 0 in
+    let mismatches = ref [] in
+    List.iter
+      (fun (fname, (s : Tfm_analysis.Access_pattern.site)) ->
+        incr checked;
+        match
+          Shadow.check sh ~func:fname
+            ~instr:s.Tfm_analysis.Access_pattern.instr_id
+            ~cls:
+              (Tfm_analysis.Access_pattern.cls_to_string
+                 s.Tfm_analysis.Access_pattern.cls)
+        with
+        | Shadow.Confirmed -> incr confirmed
+        | Shadow.Unchecked -> incr unchecked
+        | Shadow.Mismatch msg ->
+            mismatches :=
+              Printf.sprintf "%s:%%%d %s" fname
+                s.Tfm_analysis.Access_pattern.instr_id msg
+              :: !mismatches)
+      classes;
+    print_newline ();
+    if o.Driver.ret <> w.expected then begin
+      Printf.printf
+        "checksum MISMATCH: got %d, expected %d\nshape-shadow FAIL\n"
+        o.Driver.ret w.expected;
       1
-  | Ok w ->
-      let m = (build_of w o1) () in
-      print_string (Tfm_analysis.Shape.dump (Tfm_analysis.Shape.analyze m) m);
-      if not shadow_mode then 0
-      else begin
-        let sh = Shadow.create () in
-        let budget = max (16 * 4096) (w.working_set * local_pct / 100) in
-        let opts =
-          {
-            (Driver.tfm_defaults ~local_budget:budget) with
-            Driver.route = `Static;
-          }
-        in
-        let o, report =
-          Driver.run_trackfm ~blobs:w.blobs ~shadow:sh (build_of w o1) opts
-        in
-        print_newline ();
-        print_string (Shadow.dump sh);
-        let classes =
-          report.Trackfm.Pipeline.routing.Trackfm.Route_pass.classes
-        in
-        let checked = ref 0 and confirmed = ref 0 and unchecked = ref 0 in
-        let mismatches = ref [] in
-        List.iter
-          (fun (fname, (s : Tfm_analysis.Access_pattern.site)) ->
-            incr checked;
-            match
-              Shadow.check sh ~func:fname
-                ~instr:s.Tfm_analysis.Access_pattern.instr_id
-                ~cls:
-                  (Tfm_analysis.Access_pattern.cls_to_string
-                     s.Tfm_analysis.Access_pattern.cls)
-            with
-            | Shadow.Confirmed -> incr confirmed
-            | Shadow.Unchecked -> incr unchecked
-            | Shadow.Mismatch msg ->
-                mismatches :=
-                  Printf.sprintf "%s:%%%d %s" fname
-                    s.Tfm_analysis.Access_pattern.instr_id msg
-                  :: !mismatches)
-          classes;
-        print_newline ();
-        if o.Driver.ret <> w.expected then begin
-          Printf.printf
-            "checksum MISMATCH: got %d, expected %d\nshape-shadow FAIL\n"
-            o.Driver.ret w.expected;
-          1
-        end
-        else begin
-          Printf.printf
-            "shadow validation: %d site(s) checked, %d confirmed, %d \
-             unchecked, %d mismatch(es)\n"
-            !checked !confirmed !unchecked
-            (List.length !mismatches);
-          List.iter
-            (fun l -> Printf.printf "  MISMATCH %s\n" l)
-            (List.rev !mismatches);
-          if !mismatches = [] then begin
-            print_endline "shape-shadow PASS";
-            0
-          end
-          else begin
-            print_endline "shape-shadow FAIL";
-            1
-          end
-        end
+    end
+    else begin
+      Printf.printf
+        "shadow validation: %d site(s) checked, %d confirmed, %d \
+         unchecked, %d mismatch(es)\n"
+        !checked !confirmed !unchecked
+        (List.length !mismatches);
+      List.iter
+        (fun l -> Printf.printf "  MISMATCH %s\n" l)
+        (List.rev !mismatches);
+      if !mismatches = [] then begin
+        print_endline "shape-shadow PASS";
+        0
       end
+      else begin
+        print_endline "shape-shadow FAIL";
+        1
+      end
+    end
+  end
 
 let list_cmd () =
   List.iter
@@ -1714,117 +1303,6 @@ let list_cmd () =
   0
 
 (* -- cmdliner wiring -- *)
-
-let workload_arg =
-  Arg.(
-    required
-    & opt (some string) None
-    & info [ "w"; "workload" ] ~docv:"NAME" ~doc:"Workload to run (see list).")
-
-let system_arg =
-  Arg.(
-    value & opt string "trackfm"
-    & info [ "s"; "system" ] ~docv:"SYSTEM"
-        ~doc:"Memory system: local, trackfm or fastswap.")
-
-let local_mem_arg =
-  Arg.(
-    value & opt int 25
-    & info [ "m"; "local-mem" ] ~docv:"PCT"
-        ~doc:"Local memory as a percentage of the working set.")
-
-let object_size_arg =
-  Arg.(
-    value & opt int 4096
-    & info [ "o"; "object-size" ] ~docv:"BYTES"
-        ~doc:"TrackFM/AIFM object size (power of two, 16-65536).")
-
-let chunk_arg =
-  Arg.(
-    value & opt string "gated"
-    & info [ "c"; "chunk" ] ~docv:"MODE"
-        ~doc:"Loop chunking mode: off, all, or gated (profiled cost model).")
-
-let route_arg =
-  Arg.(
-    value & opt string "off"
-    & info [ "route" ] ~docv:"MODE"
-        ~doc:
-          "Hybrid data plane (trackfm only): off, static (pointer-chasing \
-           sites take the page-fault path, streaming sites keep guards), or \
-           profiled (additionally upgrade mixed/unknown sites that a \
-           profiling pre-run shows slow-path dominated).")
-
-let prefetch_arg =
-  Arg.(
-    value & flag
-    & info [ "no-prefetch" ] ~doc:"Disable compiler-directed prefetching.")
-
-let o1_arg =
-  Arg.(
-    value & flag
-    & info [ "o1" ] ~doc:"Run the O1 pre-optimization pipeline first.")
-
-let no_summaries_arg =
-  Arg.(
-    value & flag
-    & info [ "no-summaries" ]
-        ~doc:
-          "Disable interprocedural summaries: every call clobbers custody \
-           and every call result classifies unknown (the pre-summary \
-           pipeline).")
-
-let no_shapes_arg =
-  Arg.(
-    value & flag
-    & info [ "no-shapes" ]
-        ~doc:
-          "Disable the interprocedural shape analysis: helper-hidden \
-           pointer chases classify unknown and static routing falls back \
-           to intraprocedural evidence only.")
-
-let faults_arg =
-  Arg.(
-    value & opt string "none"
-    & info [ "faults" ] ~docv:"SPEC"
-        ~doc:
-          "Fabric fault injection: none, light, medium, heavy, or a \
-           comma-separated spec of drop=P, timeout=P, spike=P:CYC[:ALPHA], \
-           outage=PERIOD:LEN.")
-
-let fault_seed_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "fault-seed" ] ~docv:"N"
-        ~doc:
-          "Seed for the fault injector's random stream; a fixed seed makes \
-           the whole fault schedule (and every counter) reproducible.")
-
-let replicas_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "replicas" ] ~docv:"N"
-        ~doc:
-          "Number of remote memory nodes (1-8). With 1 and no crash/corrupt \
-           faults the single-server model is kept bit for bit.")
-
-let ack_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "ack" ] ~docv:"K"
-        ~doc:
-          "Writebacks are acknowledged once $(docv) replicas hold the object \
-           (1 <= K <= replicas); the remaining copies apply after a \
-           replication lag.")
-
-let engine_arg =
-  Arg.(
-    value & opt string "interp"
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Execution engine: interp (the tree-walking reference \
-           interpreter, the differential oracle) or compiled (closure-\
-           compiled, same observable behaviour, ~10x faster dispatch).")
 
 let counters_json_arg =
   Arg.(
@@ -1880,13 +1358,9 @@ let flight_arg =
 
 let run_term =
   Term.(
-    const
-      (fun w s e m o c rt np ns nsh o1 fs fseed repl ack cj tr me si attr fl ->
-        run_cmd w s e m o c rt (not np) (not ns) (not nsh) o1 fs fseed repl ack
-          cj tr me si attr fl)
-    $ workload_arg $ system_arg $ engine_arg $ local_mem_arg $ object_size_arg
-    $ chunk_arg $ route_arg $ prefetch_arg $ no_summaries_arg $ no_shapes_arg
-    $ o1_arg $ faults_arg $ fault_seed_arg $ replicas_arg $ ack_arg
+    const run_cmd
+    $ term ~route:true ~shapes:true ~replication:true
+        (const Option.some $ workload_arg)
     $ counters_json_arg $ trace_arg $ metrics_arg $ sample_interval_arg
     $ attribution_arg $ flight_arg)
 
@@ -1894,25 +1368,15 @@ let run_info = Cmd.info "run" ~doc:"Compile and run a workload"
 
 let report_term =
   Term.(
-    const (fun w s e m o c rt np ns o1 fs fseed tr me si ->
-        report_cmd w s e m o c rt (not np) (not ns) o1 fs fseed tr me si)
-    $ workload_arg $ system_arg $ engine_arg $ local_mem_arg $ object_size_arg
-    $ chunk_arg $ route_arg $ prefetch_arg $ no_summaries_arg $ o1_arg
-    $ faults_arg $ fault_seed_arg $ trace_arg $ metrics_arg
-    $ sample_interval_arg)
+    const report_cmd
+    $ term ~route:true (const Option.some $ workload_arg)
+    $ trace_arg $ metrics_arg $ sample_interval_arg)
 
 let report_info =
   Cmd.info "report"
     ~doc:
       "Run a workload with telemetry and print guard-site hotspots, latency \
        histograms and counter sparklines (subcommands: critical-path, slo)"
-
-let workload_opt_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "w"; "workload" ] ~docv:"NAME"
-        ~doc:"Workload to run live (omit when reading --from).")
 
 let from_arg =
   Arg.(
@@ -1924,12 +1388,7 @@ let from_arg =
            instead of running a workload.")
 
 let critical_path_term =
-  Term.(
-    const (fun w s e m o c np ns o1 fs fseed from ->
-        critical_path_cmd w s e m o c (not np) (not ns) o1 fs fseed from)
-    $ workload_opt_arg $ system_arg $ engine_arg $ local_mem_arg
-    $ object_size_arg $ chunk_arg $ prefetch_arg $ no_summaries_arg $ o1_arg
-    $ faults_arg $ fault_seed_arg $ from_arg)
+  Term.(const critical_path_cmd $ term workload_opt_arg $ from_arg)
 
 let critical_path_info =
   Cmd.info "critical-path"
@@ -1961,11 +1420,8 @@ let slo_file_arg =
 
 let slo_term =
   Term.(
-    const (fun w s e m o c np ns o1 fs fseed from spec file ->
-        slo_cmd w s e m o c (not np) (not ns) o1 fs fseed from spec file)
-    $ workload_opt_arg $ system_arg $ engine_arg $ local_mem_arg
-    $ object_size_arg $ chunk_arg $ prefetch_arg $ no_summaries_arg $ o1_arg
-    $ faults_arg $ fault_seed_arg $ from_arg $ slo_spec_arg $ slo_file_arg)
+    const slo_cmd $ term workload_opt_arg $ from_arg $ slo_spec_arg
+    $ slo_file_arg)
 
 let slo_info =
   Cmd.info "slo"
@@ -2236,3 +1692,4 @@ let main =
     ]
 
 let () = exit (Cmd.eval' main)
+

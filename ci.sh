@@ -19,7 +19,9 @@
 #                optimizer on/off (trackfm_cli check); summary, classify
 #                (text + schema-validated JSON) and shape dumps must be
 #                byte-identical across two runs; an out-of-range
-#                --object-size or --replicas must exit 1 naming the flag
+#                --object-size or --replicas (CLI and bench) and an
+#                unknown --system/--engine/--chunk/--route name must exit
+#                1 naming the flag, with nothing on stdout
 #   test       - dune runtest (tier-1 unit/property/integration suites)
 #   smoke      - quick bench-harness run; writes metrics JSON to _ci/metrics
 #   faults     - fault-injection determinism matrix: fixed workloads x seeds,
@@ -154,31 +156,46 @@ stage_lint() {
             exit 1
         fi
     done
-    # Out-of-range sizes are named errors, not exceptions from deep
-    # inside a run.
+    # Out-of-range sizes and unknown mode names are named errors, not
+    # exceptions from deep inside a run or a silently substituted default.
     echo "== stage lint: flag validation =="
+    dune build bench/main.exe
     for o in 100 0; do
-        lint_bad_flag --object-size run -w stream-sum -s trackfm -o "$o"
-        lint_bad_flag --object-size report -w stream-sum -s trackfm -o "$o"
-        lint_bad_flag --object-size report critical-path -w stream-sum -o "$o"
-        lint_bad_flag --object-size report slo -w stream-sum -o "$o" \
+        lint_bad_flag --object-size "$CLI" run -w stream-sum -s trackfm -o "$o"
+        lint_bad_flag --object-size "$CLI" report -w stream-sum -s trackfm -o "$o"
+        lint_bad_flag --object-size "$CLI" report critical-path -w stream-sum -o "$o"
+        lint_bad_flag --object-size "$CLI" report slo -w stream-sum -o "$o" \
             --slo 'sum:p99<=1m'
-        lint_bad_flag --object-size sweep -w stream-sum -o "$o"
+        lint_bad_flag --object-size "$CLI" sweep -w stream-sum -o "$o"
     done
-    lint_bad_flag --replicas run -w stream-sum -s fastswap --replicas 9
-    lint_bad_flag --replicas serve -b trackfm --replicas 9
+    for f in -s --engine --chunk; do
+        name=$f
+        [ "$f" = -s ] && name=--system
+        lint_bad_flag "$name" "$CLI" run -w stream-sum "$f" bogus
+        lint_bad_flag "$name" "$CLI" report -w stream-sum "$f" bogus
+        lint_bad_flag "$name" "$CLI" report critical-path -w stream-sum "$f" bogus
+        lint_bad_flag "$name" "$CLI" report slo -w stream-sum "$f" bogus \
+            --slo 'sum:p99<=1m'
+    done
+    lint_bad_flag --route "$CLI" run -w stream-sum --route bogus
+    lint_bad_flag --route "$CLI" report -w stream-sum --route bogus
+    lint_bad_flag --replicas "$CLI" run -w stream-sum -s fastswap --replicas 9
+    lint_bad_flag --replicas "$CLI" serve -b trackfm --replicas 9
+    lint_bad_flag --replicas _build/default/bench/main.exe fig6 --quick --replicas 9
 }
 
-# $1 is the flag a bad value was passed to; the rest is the CLI command
-# line. The run must exit 1 with a message naming the flag.
+# $1 is the flag a bad value was passed to; the rest is the command line.
+# The run must exit 1 with a message naming the flag and print nothing on
+# stdout.
 lint_bad_flag() {
     flag=$1
     shift
-    if "$CLI" "$@" >/dev/null 2>_ci/lint-flag.err; then rc=0; else rc=$?; fi
+    if "$@" >_ci/lint-flag.out 2>_ci/lint-flag.err; then rc=0; else rc=$?; fi
     if [ "$rc" -ne 1 ] || ! grep -q -- "$flag" _ci/lint-flag.err \
-        || grep -q "uncaught exception" _ci/lint-flag.err; then
-        echo "lint: '$*' must exit 1 naming $flag (exit $rc):" >&2
-        cat _ci/lint-flag.err >&2
+        || grep -q "uncaught exception" _ci/lint-flag.err \
+        || [ -s _ci/lint-flag.out ]; then
+        echo "lint: '$*' must exit 1 naming $flag, stdout empty (exit $rc):" >&2
+        cat _ci/lint-flag.out _ci/lint-flag.err >&2
         exit 1
     fi
 }

@@ -35,10 +35,14 @@ type t = {
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
+let check_object_size n =
+  if is_pow2 n && n >= 16 && n <= 65536 then Ok ()
+  else Error "must be a power of two in 16..65536"
+
 let create ?(policy = Clock_hand) ?(telemetry = Telemetry.Sink.nop)
     ?addr_of_id cost clock ~net ~object_size ~local_budget =
-  if not (is_pow2 object_size && object_size >= 16 && object_size <= 65536)
-  then invalid_arg "Pool.create: object_size";
+  if Result.is_error (check_object_size object_size) then
+    invalid_arg "Pool.create: object_size";
   Telemetry.Sink.attach_net telemetry net;
   {
     cost;

@@ -22,6 +22,10 @@ type policy = Clock_hand | Fifo
     ignores recency entirely (an ablation of the evacuator's hotness
     bits). *)
 
+val check_object_size : int -> (unit, string) result
+(** [Ok ()] iff the size is a power of two in 16..65536 bytes; otherwise
+    why not. *)
+
 val create :
   ?policy:policy ->
   ?telemetry:Telemetry.Sink.t ->

@@ -73,12 +73,18 @@ let fresh_node () =
     fetch_seq = 0;
   }
 
+let check_replicas n =
+  if n >= 1 && n <= 8 then Ok () else Error "must be in 1..8"
+
+let check_ack ~replicas n =
+  if n >= 1 && n <= replicas then Ok ()
+  else Error (Printf.sprintf "must be in 1..replicas (%d)" replicas)
+
 let create ?(seed = 1) ~clock ~store ~replicas ~ack ~crash_period
     ~crash_downtime ~corrupt () =
-  if replicas < 1 || replicas > 8 then
-    invalid_arg "Cluster.create: replicas must be in 1..8";
-  if ack < 1 || ack > replicas then
-    invalid_arg "Cluster.create: ack must be in 1..replicas";
+  let require what = Result.iter_error (fun e -> invalid_arg (what ^ e)) in
+  require "Cluster.create: replicas " (check_replicas replicas);
+  require "Cluster.create: ack " (check_ack ~replicas ack);
   if crash_period < 0 || crash_downtime < 0 then
     invalid_arg "Cluster.create: negative crash parameter";
   if crash_period > 0 && crash_downtime <= 0 then

@@ -38,6 +38,12 @@ type event =
           re-replicate; it serves reads again immediately, the copies
           stream back via {!resync_step} *)
 
+val check_replicas : int -> (unit, string) result
+(** [Ok ()] iff [1 <= replicas <= 8]; otherwise why not. *)
+
+val check_ack : replicas:int -> int -> (unit, string) result
+(** [Ok ()] iff [1 <= ack <= replicas]; otherwise why not. *)
+
 val create :
   ?seed:int ->
   clock:Clock.t ->

@@ -64,6 +64,20 @@ let test_pinned_never_evicted () =
   Alcotest.(check bool) "unpinned object can now be evicted" false
     (Aifm.Pool.is_local pool 0)
 
+(* The object-size range lives in Pool.check_object_size; create must
+   agree with it at every boundary. *)
+let test_object_size_range () =
+  List.iter
+    (fun (object_size, ok) ->
+      let name = Printf.sprintf "object size %d" object_size in
+      Alcotest.(check bool) name ok
+        (Result.is_ok (Aifm.Pool.check_object_size object_size));
+      Alcotest.(check bool) (name ^ ": create agrees") ok
+        (match make_pool ~object_size ~local_budget:(2 * 131072) () with
+        | _ -> true
+        | exception Invalid_argument _ -> false))
+    [ (8, false); (16, true); (100, false); (65536, true); (131072, false) ]
+
 let test_out_of_local_memory () =
   let pool, _ = make_pool ~local_budget:4096 () in
   Aifm.Pool.ensure_local pool 0;
@@ -385,6 +399,7 @@ let suite =
       Alcotest.test_case "clean eviction" `Quick test_clean_eviction_no_writeback;
       Alcotest.test_case "pinned never evicted" `Quick test_pinned_never_evicted;
       Alcotest.test_case "out of local memory" `Quick test_out_of_local_memory;
+      Alcotest.test_case "object size range" `Quick test_object_size_range;
       Alcotest.test_case "nested pins" `Quick test_pin_counts_nested;
       Alcotest.test_case "prefetched fetch" `Quick test_prefetched_fetch_cost;
       Alcotest.test_case "prefetch w/o remote copy" `Quick

@@ -16,6 +16,36 @@ let mk_cluster ?(seed = 7) ?(replicas = 3) ?(ack = 2) ?(crash_period = 0)
   in
   (clock, store, c)
 
+(* -- replication ranges ---------------------------------------------------- *)
+
+(* The replica and ack ranges live in Cluster's checks; create must agree
+   with them at every boundary. *)
+let test_replication_ranges () =
+  let accepts ~replicas ~ack =
+    let checked =
+      Result.is_ok (Cluster.check_replicas replicas)
+      && Result.is_ok (Cluster.check_ack ~replicas ack)
+    in
+    let created =
+      match mk_cluster ~replicas ~ack () with
+      | _ -> true
+      | exception Invalid_argument _ -> false
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "create agrees with the checks at %d/%d" replicas ack)
+      checked created;
+    checked
+  in
+  List.iter
+    (fun (replicas, ack, ok) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "replicas %d ack %d" replicas ack)
+        ok (accepts ~replicas ~ack))
+    [
+      (0, 1, false); (1, 1, true); (8, 1, true); (8, 8, true); (9, 1, false);
+      (3, 0, false); (3, 3, true); (3, 4, false); (1, 2, false);
+    ]
+
 (* Two 8-byte words with the top bit set: a 63-bit truncating mover or
    checksum would destroy them (the sign bit of stored doubles). *)
 let key = 8192
@@ -351,6 +381,7 @@ let suite =
     [
       Alcotest.test_case "create_opt zero-cost gate" `Quick
         test_create_opt_gate;
+      Alcotest.test_case "replication ranges" `Quick test_replication_ranges;
       Alcotest.test_case "crash windows staggered" `Quick
         test_crash_windows_staggered;
       Alcotest.test_case "writeback ack/lag" `Quick test_writeback_ack_lag;
